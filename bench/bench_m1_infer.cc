@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
           [&](int64_t r0, int64_t r1) {
             std::fill(out_fp.data() + r0 * V, out_fp.data() + r1 * V, 0.0f);
             simd::GemmRows(acts.data(), cat_fp.data(), out_fp.data(), d, V,
-                           r0, r1);
+                           V, V, r0, r1);
           });
     };
     auto int8_step = [&] {

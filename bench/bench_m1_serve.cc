@@ -114,7 +114,6 @@ int main(int argc, char** argv) {
   }
   serve::TcpServerConfig tcfg;
   tcfg.port = 0;
-  tcfg.num_workers = 8;
   tcfg.max_connections = 64;
   auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
   if (server == nullptr) {

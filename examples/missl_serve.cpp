@@ -37,8 +37,6 @@
 //   --port-file PATH         TCP mode: write "port=P\nadmin_port=Q\n" once
 //                            both listeners are bound (for scripts driving
 //                            ephemeral ports)
-//   --workers N              TCP mode: worker threads blocking in the
-//                            micro-batcher (default 4)
 //   --max-conns N            TCP mode: connection limit (default 256)
 //   --clients N              concurrent client threads (default 4)
 //   --batch N                micro-batcher max batch size (default 8)
@@ -118,8 +116,6 @@ TCP mode:
   --port-file PATH         write "port=P\nadmin_port=Q\n" once both
                            listeners are bound (for scripts driving
                            ephemeral ports)
-  --workers N              worker threads blocking in the micro-batcher
-                           (default 4)
   --max-conns N            connection limit (default 256)
 
 Scoring:
@@ -156,7 +152,6 @@ struct Options {
   int listen_port = -1;  ///< >= 0: TCP mode on 127.0.0.1:port (0 ephemeral)
   int admin_port = 0;    ///< admin HTTP port (0 ephemeral, -1 disabled)
   std::string port_file;
-  int workers = 4;
   int max_conns = 256;
   int clients = 4;
   int32_t batch = 8;
@@ -213,7 +208,6 @@ int main(int argc, char** argv) {
     else if (a.rfind("--listen=", 0) == 0) opt.listen_port = std::atoi(a.c_str() + 9);
     else if (a == "--admin") opt.admin_port = std::atoi(next("--admin").c_str());
     else if (a == "--port-file") opt.port_file = next("--port-file");
-    else if (a == "--workers") opt.workers = std::atoi(next("--workers").c_str());
     else if (a == "--max-conns") opt.max_conns = std::atoi(next("--max-conns").c_str());
     else if (a == "--trace") opt.trace = next("--trace");
     else if (a == "--clients") opt.clients = std::atoi(next("--clients").c_str());
@@ -308,7 +302,6 @@ int main(int argc, char** argv) {
     serve::TcpServerConfig tcfg;
     tcfg.port = opt.listen_port;
     tcfg.admin_port = opt.admin_port;
-    tcfg.num_workers = opt.workers;
     tcfg.max_connections = opt.max_conns;
     auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
     if (server == nullptr) {
@@ -317,10 +310,10 @@ int main(int argc, char** argv) {
     // Log the *resolved* ports: with ephemeral ports (0) these are the only
     // place the actual numbers appear.
     std::fprintf(stderr,
-                 "listening on 127.0.0.1:%d (%d workers, <=%d connections, "
-                 "batch<=%d, wait %lldus); SIGINT/SIGTERM drains, SIGUSR1 "
-                 "dumps the flight recorder\n",
-                 server->port(), opt.workers, opt.max_conns, opt.batch,
+                 "listening on 127.0.0.1:%d (<=%d connections, batch<=%d, "
+                 "wait %lldus); SIGINT/SIGTERM drains, SIGUSR1 dumps the "
+                 "flight recorder\n",
+                 server->port(), opt.max_conns, opt.batch,
                  static_cast<long long>(opt.wait_us));
     if (server->admin_port() >= 0) {
       std::fprintf(stderr,

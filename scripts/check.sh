@@ -6,8 +6,11 @@
 #   2. ASan+UBSan build + full ctest suite
 #   3. TSan build, running the threaded tests (runtime_test, models_test,
 #      serve_test — the serving micro-batcher must stay race-free —
-#      tcp_server_test — every epoll-thread/worker handoff in the TCP
-#      front-end over real sockets, now including the admin HTTP plane —
+#      tcp_server_test — every handoff between the epoll thread and the
+#      dispatcher-thread query completions in the TCP front-end over real
+#      sockets, including the admin HTTP plane and a mid-burst Shutdown —
+#      serve_fuzz_test, whose socket sweep disconnects at every byte offset
+#      while those completions race in —
 #      exposition_test, which scrapes the metrics registry and the flight
 #      recorder's seqlock rings while they are being written —
 #      kernel_property_test, which sweeps the SIMD tiers at 1/2/4 threads,
@@ -74,12 +77,13 @@ run_tsan() {
         -DMISSL_SANITIZE=thread
   cmake --build build-check-tsan -j"$(nproc)" \
         --target runtime_test models_test serve_test tcp_server_test \
-                 exposition_test kernel_property_test alloc_test \
-                 infer_test quant_test
+                 serve_fuzz_test exposition_test kernel_property_test \
+                 alloc_test infer_test quant_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/runtime_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/models_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/serve_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/tcp_server_test
+  TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/serve_fuzz_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/exposition_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/kernel_property_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/alloc_test

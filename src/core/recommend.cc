@@ -25,7 +25,7 @@ void TopKRow(const float* scores, int32_t num_items,
   int32_t take = std::min<int32_t>(k, static_cast<int32_t>(ranked.size()));
   std::partial_sort(ranked.begin(), ranked.begin() + take, ranked.end(),
                     [](const auto& a, const auto& b) {
-                      return a.first > b.first;
+                      return RanksBefore(a.first, a.second, b.first, b.second);
                     });
   for (int32_t i = 0; i < take; ++i) {
     out_scores->push_back(ranked[static_cast<size_t>(i)].first);

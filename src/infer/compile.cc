@@ -2,6 +2,8 @@
 // sequence + buffer table described in infer/plan.h. Everything here runs
 // exactly once per RecoService::Load; nothing in this file is on the
 // serving hot path.
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -48,12 +50,15 @@ const char* KindName(OpKind k) {
     case OpKind::kCommonPool: return "common_pool";
     case OpKind::kBroadcastAddRow: return "broadcast_add_row";
     case OpKind::kCatalogScore: return "catalog_score";
-    case OpKind::kCatalogScoreQ: return "catalog_score_q";
   }
   return "?";
 }
 
 }  // namespace
+
+void PlannedExecutor::Unmap::operator()(ScoredItem* p) const {
+  ::munmap(p, bytes);
+}
 
 int32_t PlannedExecutor::NewBuffer(int64_t per_b, std::string label) {
   BufferSpec spec;
@@ -569,29 +574,29 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     fused = fused2;
   }
 
-  // --- Catalog scoring with interest routing.
+  // --- Catalog scoring with interest routing, column-tiled: per stripe,
+  // one tile of raw interest-row scores and (max routing) one of routed
+  // rows, sized for max_batch rows.
   const bool mean_routing = cfg.routing == core::InterestRouting::kMean;
   const int64_t V = ex->num_items_;
+  const int64_t act_rows = mean_routing ? 1 : K;  // activation rows per b
+  Op op;
+  op.kind = OpKind::kCatalogScore;
+  op.src = fused;
+  op.k = K;
+  op.in = d;
+  op.out = V;
+  op.flag = mean_routing;
+  if (mean_routing) op.scratch2 = ex->NewBuffer(d, "interest_mean");
+  op.scratch = ex->NewBuffer(
+      kMaxStripes * (act_rows + (mean_routing ? 0 : 1)) * kTileCols,
+      "catalog_tiles");
   if (!options.quantize_catalog) {
     // Only the fp32 plan reads the [d, V] catalog, so only it shares
     // ownership; an int8 plan lets the caller's copy go.
     ex->keepalive_.push_back(catalog);
-    int32_t score_scratch = mean_routing
-                                ? ex->NewBuffer(d, "interest_mean")
-                                : ex->NewBuffer(K * V, "logits");
-    ex->scores_buf_ = ex->NewBuffer(V, "scores");
-    Op op;
-    op.kind = OpKind::kCatalogScore;
     op.label = mean_routing ? "catalog_score(mean)" : "catalog_score(max)";
-    op.src = fused;
-    op.dst = ex->scores_buf_;
-    op.scratch = score_scratch;
     op.w = catalog.data();
-    op.k = K;
-    op.in = d;
-    op.out = V;
-    op.flag = mean_routing;
-    emit(op);
   } else {
     // Int8 tier: quantize the catalog once, per item. PrecomputeCatalog
     // hands the [d, V] transposed table; repack item-major [V, d] so each
@@ -618,31 +623,29 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         V * d * static_cast<int64_t>(sizeof(int8_t)) +
         V * static_cast<int64_t>(sizeof(float));
     ex->qinfo_.fp32_bytes = V * d * static_cast<int64_t>(sizeof(float));
-    // Activation-side scratch: one quantized row per interest row (max
-    // routing) or per batch row (mean routing), plus the int32 accumulators
-    // the routing pass dequantizes from.
-    const int64_t act_rows = mean_routing ? max_batch : max_batch * K;
-    ex->act_q_.assign(static_cast<size_t>(act_rows * d), 0);
-    ex->act_scale_.assign(static_cast<size_t>(act_rows), 0.0f);
-    ex->acc_q_ = std::make_unique_for_overwrite<int32_t[]>(act_rows * V);
-    int32_t score_scratch = mean_routing ? ex->NewBuffer(d, "interest_mean")
-                                         : -1;
-    ex->scores_buf_ = ex->NewBuffer(V, "scores");
-    Op op;
-    op.kind = OpKind::kCatalogScoreQ;
+    // One quantized activation row per interest row (max routing) or per
+    // batch row (mean routing).
+    ex->act_q_.assign(static_cast<size_t>(max_batch * act_rows * d), 0);
+    ex->act_scale_.assign(static_cast<size_t>(max_batch * act_rows), 0.0f);
     op.label =
         mean_routing ? "catalog_score_q(mean)" : "catalog_score_q(max)";
-    op.src = fused;
-    op.dst = ex->scores_buf_;
-    op.scratch = score_scratch;
     op.wq = ex->catalog_q_.data();
     op.wscale = ex->catalog_scale_.data();
-    op.k = K;
-    op.in = d;
-    op.out = V;
-    op.flag = mean_routing;
-    emit(op);
   }
+  ex->scores_buf_ = ex->NewBuffer(V, "scores");
+  op.dst = ex->scores_buf_;
+  emit(op);
+  // Top-k sink: at most V candidate slots per row, in fresh pages.
+  const size_t cand_bytes =
+      static_cast<size_t>(max_batch * V) * sizeof(ScoredItem);
+  void* cand = ::mmap(nullptr, cand_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  MISSL_CHECK(cand != MAP_FAILED)
+      << "planned executor: cannot map " << cand_bytes << " candidate bytes";
+  ex->cand_ = std::unique_ptr<ScoredItem[], Unmap>(
+      static_cast<ScoredItem*>(cand), Unmap{cand_bytes});
+  ex->heaps_.resize(static_cast<size_t>(kMaxStripes * max_batch));
+  ex->ranked_.resize(static_cast<size_t>(max_batch));
 
   // --- Pack the buffers into one pooled arena sized for max_batch. A
   // buffer is live from the first op that references it to the last (the

@@ -6,12 +6,14 @@
 // MisslModel::ScoreAllItems on every SIMD tier at every thread count (the
 // contract is spelled out in docs/INFERENCE.md and enforced by
 // tests/infer_test.cc). Nothing here allocates: all floats live in the
-// plan's arena, the integer id streams in vectors presized at compile time.
+// plan's arena, the integer id streams and the top-k candidate lists in
+// buffers presized at compile time.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
+#include <utility>
 
+#include "core/recommend.h"
 #include "hypergraph/incidence.h"
 #include "infer/plan.h"
 #include "obs/metrics.h"
@@ -81,9 +83,31 @@ void MeanInterests(const float* ints, int64_t b, int64_t K, int64_t d,
   });
 }
 
+bool RanksBeforeItem(const ScoredItem& a, const ScoredItem& b) {
+  return core::RanksBefore(a.score, a.item, b.score, b.item);
+}
+
 }  // namespace
 
 const float* PlannedExecutor::Run(const data::Batch& batch) {
+  specs_ = nullptr;
+  RunOps(batch);
+  return arena_.data() + bufs_[static_cast<size_t>(scores_buf_)].offset;
+}
+
+void PlannedExecutor::RunTopK(const data::Batch& batch,
+                              const RankSpec* specs) {
+  MISSL_CHECK(specs != nullptr);
+  for (int64_t r = 0; r < batch.batch_size; ++r) {
+    MISSL_CHECK(specs[r].k >= 1 && specs[r].num_exclude >= 0)
+        << "planned executor: bad rank spec for row " << r;
+  }
+  specs_ = specs;
+  RunOps(batch);
+  specs_ = nullptr;
+}
+
+void PlannedExecutor::RunOps(const data::Batch& batch) {
   const int64_t b = batch.batch_size, t = t_;
   MISSL_CHECK(b >= 1 && b <= max_batch_)
       << "planned executor: batch size " << b << " exceeds compiled max_batch "
@@ -126,7 +150,6 @@ const float* PlannedExecutor::Run(const data::Batch& batch) {
   InferMetrics& m = InferMetrics::Get();
   m.runs.Add(1);
   m.run_ns.Observe(obs::NowNanos() - t0);
-  return arena_.data() + bufs_[static_cast<size_t>(scores_buf_)].offset;
 }
 
 void PlannedExecutor::Execute(const Op& op, int64_t b) {
@@ -144,7 +167,6 @@ void PlannedExecutor::Execute(const Op& op, int64_t b) {
     case OpKind::kCommonPool: return ExecCommonPool(op, b);
     case OpKind::kBroadcastAddRow: return ExecBroadcastAddRow(op, b);
     case OpKind::kCatalogScore: return ExecCatalogScore(op, b);
-    case OpKind::kCatalogScoreQ: return ExecCatalogScoreQ(op, b);
   }
   MISSL_CHECK(false) << "planned executor: unknown op kind";
 }
@@ -212,7 +234,7 @@ void PlannedExecutor::ExecLinear(const Op& op, int64_t b) {
       0, b * op.rows_per_b, runtime::GrainForCost(2 * in * out),
       [&](int64_t r0, int64_t r1) {
         std::fill(dst + r0 * out, dst + r1 * out, 0.0f);
-        simd::GemmRows(src, op.w, dst, in, out, r0, r1);
+        simd::GemmRows(src, op.w, dst, in, out, out, out, r0, r1);
         for (int64_t r = r0; r < r1; ++r) {
           float* y = dst + r * out;
           if (op.bias != nullptr) simd::AddRow(y, op.bias, y, out);
@@ -288,7 +310,7 @@ void PlannedExecutor::ExecBatchedGemm(const Op& op, int64_t b) {
           const int64_t s = r / m;
           const int64_t end = std::min((s + 1) * m, r1);
           simd::GemmRows(a + s * m * k, bb + s * k * nn, dst + s * m * nn, k,
-                         nn, r - s * m, end - s * m);
+                         nn, nn, nn, r - s * m, end - s * m);
           r = end;
         }
       });
@@ -330,7 +352,7 @@ void PlannedExecutor::ExecAttention(const Op& op, int64_t b) {
         std::memcpy(vp + i * dh, base, static_cast<size_t>(dh) * sizeof(float));
       }
       std::fill(sc, sc + t * t, 0.0f);
-      simd::GemmRows(qp, kt, sc, dh, t, 0, t);
+      simd::GemmRows(qp, kt, sc, dh, t, t, t, 0, t);
       const int32_t* it = items_.data() + bb * t;
       for (int64_t i = 0; i < t; ++i) {
         float* row = sc + i * t;
@@ -341,7 +363,7 @@ void PlannedExecutor::ExecAttention(const Op& op, int64_t b) {
         SoftmaxRow(row, t);
       }
       std::fill(out, out + t * dh, 0.0f);
-      simd::GemmRows(sc, vp, out, t, dh, 0, t);
+      simd::GemmRows(sc, vp, out, t, dh, dh, dh, 0, t);
       for (int64_t i = 0; i < t; ++i) {
         std::memcpy(dst + (bb * t + i) * d + h * dh, out + i * dh,
                     static_cast<size_t>(dh) * sizeof(float));
@@ -401,7 +423,7 @@ void PlannedExecutor::ExecInterestExtract(const Op& op, int64_t b) {
       float* stk = scratch + bb * slab;  // [t, K]
       float* skt = stk + t * K;          // [K, t]
       std::fill(stk, stk + t * K, 0.0f);
-      simd::GemmRows(keys + bb * t * d, op.w, stk, d, K, 0, t);
+      simd::GemmRows(keys + bb * t * d, op.w, stk, d, K, K, K, 0, t);
       for (int64_t i = 0; i < t; ++i) {
         for (int64_t kk = 0; kk < K; ++kk) skt[kk * t + i] = stk[i * K + kk];
       }
@@ -423,7 +445,7 @@ void PlannedExecutor::ExecInterestExtract(const Op& op, int64_t b) {
       }
       float* o = dst + bb * K * d;
       std::fill(o, o + K * d, 0.0f);
-      simd::GemmRows(skt, enc + bb * t * d, o, t, d, 0, K);
+      simd::GemmRows(skt, enc + bb * t * d, o, t, d, d, d, 0, K);
       const float ind = any ? 1.0f : 0.0f;
       for (int64_t i = 0; i < K * d; ++i) o[i] = o[i] * ind;
     }
@@ -505,114 +527,153 @@ void PlannedExecutor::ExecBroadcastAddRow(const Op& op, int64_t b) {
                        });
 }
 
-// Catalog scoring: interests x catalog [d, V], then max over K (strict >
-// ascending scan, as Max in ops_reduce.cc) or MeanInterests-then-GEMM for
-// kMean routing.
+// Catalog scoring, one column tile at a time. Per tile, every activation
+// row (the b·K fused interests, or the b interest means under mean routing)
+// is scored against the tile's columns into an op-private tile: fp32 by
+// GemmRows reading the [d, V] catalog in place (ldb = V), so each cell keeps
+// the ascending-k chain of the full-width MatMul; int8 by the exact integer
+// dot with the fixed (act_scale * item_scale) * float(dot) dequant. Max
+// routing then folds K rows per column with the strict-> ascending-K scan
+// of Max (ops_reduce.cc). So every routed score is bitwise the value the
+// full [b, V] computation produces, and the sink decides what happens to
+// it: Run copies it into the score matrix, RunTopK selects from it.
+//
+// The columns are split into stripes of whole tiles, one per ParallelFor
+// chunk; each chunk owns a tile and its stripes' per-row heaps. A heap keeps
+// the best min(k, stripe width) entries under core::RanksBefore, a strict
+// total order, so the rows' merged lists are the same for every partition:
+// results stay bitwise identical across tiers and thread counts.
 void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
   const int64_t K = op.k, d = op.in, V = op.out;
-  const float* ints = BufPtr(op.src);
-  float* dst = BufPtr(op.dst);
-  if (op.flag) {  // mean routing
-    float* mean = BufPtr(op.scratch);
-    MeanInterests(ints, b, K, d, mean);
-    runtime::ParallelFor(
-        0, b, runtime::GrainForCost(2 * d * V), [&](int64_t r0, int64_t r1) {
-          std::fill(dst + r0 * V, dst + r1 * V, 0.0f);
-          simd::GemmRows(mean, op.w, dst, d, V, r0, r1);
-        });
-    return;
-  }
-  float* logits = BufPtr(op.scratch);  // [b * K, V]
-  runtime::ParallelFor(
-      0, b * K, runtime::GrainForCost(2 * d * V), [&](int64_t r0, int64_t r1) {
-        std::fill(logits + r0 * V, logits + r1 * V, 0.0f);
-        simd::GemmRows(ints, op.w, logits, d, V, r0, r1);
-      });
-  runtime::ParallelFor(
-      0, b * V, runtime::GrainForCost(K), [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const int64_t bb = i / V, vv = i % V;
-          float best = -std::numeric_limits<float>::infinity();
-          for (int64_t kk = 0; kk < K; ++kk) {
-            const float val = logits[(bb * K + kk) * V + vv];
-            if (val > best) best = val;
-          }
-          dst[i] = best;
-        }
-      });
-}
-
-// Int8 catalog scoring. Activation rows (the fused interests — or, for mean
-// routing, the per-batch fp32 interest mean computed exactly as the fp32
-// plan computes it) are quantized per row per Run; the item scores are int32
-// row-dots against the compile-time quantized catalog, dequantized by one
-// fp32 multiply fused into the max/mean routing pass. Determinism: the
-// integer dot is order-free (any tier blocking lands on quant::Int8DotRef),
-// the quantization and dequant epilogue are scalar single-rounded formulas
-// evaluated per element — so scores are bitwise identical on every SIMD
-// tier at every thread count (tests/quant_test.cc enforces it).
-void PlannedExecutor::ExecCatalogScoreQ(const Op& op, int64_t b) {
-  const int64_t K = op.k, d = op.in, V = op.out;
-  const float* ints = BufPtr(op.src);
-  float* dst = BufPtr(op.dst);
-  const float* act = ints;
+  const bool mean = op.flag;
+  const float* act = BufPtr(op.src);
   int64_t rows = b * K;
-  if (op.flag) {  // mean routing: fp32 mean first, then quantize the mean row
-    float* mean = BufPtr(op.scratch);
-    MeanInterests(ints, b, K, d, mean);
-    act = mean;
+  if (mean) {
+    float* m = BufPtr(op.scratch2);
+    MeanInterests(act, b, K, d, m);
+    act = m;
     rows = b;
   }
-  // Activation quantization stays serial: at most max_batch * K short rows,
-  // and a single scan keeps the saturation count free of atomics.
-  quant::RowQuantStats st;
-  quant::QuantizeRowsSymmetric(act, rows, d, act_q_.data(), act_scale_.data(),
-                               &st);
-  if (st.saturated > 0 && obs::MetricsEnabled()) {
-    InferMetrics::Get().quant_act_saturated.Add(st.saturated);
+  if (op.wq != nullptr) {
+    // Activation quantization stays serial: at most max_batch * K short
+    // rows, and a single scan keeps the saturation count free of atomics.
+    quant::RowQuantStats st;
+    quant::QuantizeRowsSymmetric(act, rows, d, act_q_.data(),
+                                 act_scale_.data(), &st);
+    if (st.saturated > 0 && obs::MetricsEnabled()) {
+      InferMetrics::Get().quant_act_saturated.Add(st.saturated);
+    }
   }
-  const int8_t* aq = act_q_.data();
-  const int8_t* cq = op.wq;
-  int32_t* acc = acc_q_.get();
-  const float* as = act_scale_.data();
-  const float* cs = op.wscale;
-  if (op.flag) {  // mean routing: fused dot + dequant, no int32 scratch pass
-    // Chunks are PAIRS of activation rows so the tile kernel can walk the
-    // catalog once per pair (each loaded catalog vector feeds two dot
-    // chains) and dequantize straight out of registers — the [V]-sized
-    // int32 row never touches memory at all. Cost per pair is two rows'
-    // worth of the fp32 op's per-row granularity.
-    runtime::ParallelFor(
-        0, (b + 1) / 2, runtime::GrainForCost(4 * d * V),
-        [&](int64_t p0, int64_t p1) {
-          const int64_t i0 = 2 * p0;
-          const int64_t i1 = std::min<int64_t>(b, 2 * p1);
-          simd::Int8DotDequantTile(aq + i0 * d, as + i0, i1 - i0, cq, cs,
-                                   dst + i0 * V, V, d, 0, V);
-        });
-    return;
+  constexpr int64_t TW = kTileCols;
+  const int64_t ntiles = (V + TW - 1) / TW;
+  const int64_t stripes = std::min<int64_t>(
+      {static_cast<int64_t>(runtime::NumThreads()), ntiles, kMaxStripes});
+  auto stripe_tiles = [&](int64_t s) {
+    return std::pair<int64_t, int64_t>(s * ntiles / stripes,
+                                       (s + 1) * ntiles / stripes);
+  };
+  if (specs_ != nullptr) {
+    // Lay each row's stripe heaps out back to back: row r needs at most
+    // sum over stripes of min(k, width) <= V slots.
+    int64_t next = 0;
+    for (int64_t r = 0; r < b; ++r) {
+      for (int64_t s = 0; s < stripes; ++s) {
+        const auto [t0, t1] = stripe_tiles(s);
+        const int64_t width = std::min(t1 * TW, V) - t0 * TW;
+        Heap& h = heaps_[static_cast<size_t>(s * max_batch_ + r)];
+        h.begin = next;
+        h.size = 0;
+        h.cap = std::min<int64_t>(specs_[r].k, width);
+        next += h.cap;
+      }
+    }
   }
-  runtime::ParallelFor(
-      0, rows, runtime::GrainForCost(2 * d * V), [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-          simd::Int8DotRows(aq + r * d, cq, acc + r * V, d, 0, V);
+  float* scores = BufPtr(op.dst);
+  float* tiles = BufPtr(op.scratch);
+  const int64_t tile_floats = (rows + (mean ? 0 : b)) * TW;
+  runtime::ParallelFor(0, stripes, 1, [&](int64_t s0, int64_t s1) {
+    float* raw = tiles + s0 * tile_floats;
+    float* routed = mean ? raw : raw + rows * TW;
+    for (int64_t s = s0; s < s1; ++s) {
+      const auto [t0, t1] = stripe_tiles(s);
+      for (int64_t tile = t0; tile < t1; ++tile) {
+        const int64_t c0 = tile * TW, tw = std::min(TW, V - c0);
+        if (op.wq == nullptr) {
+          std::fill(raw, raw + rows * TW, 0.0f);
+          simd::GemmRows(act, op.w + c0, raw, d, tw, V, TW, 0, rows);
+        } else {
+          simd::Int8DotDequantTile(act_q_.data(), act_scale_.data(), rows,
+                                   op.wq + c0 * d, op.wscale + c0, raw, TW,
+                                   d, 0, tw);
         }
-      });
-  // Max routing: dequant fused into the strict-> ascending-K max scan.
-  runtime::ParallelFor(
-      0, b * V, runtime::GrainForCost(4 * K), [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const int64_t bb = i / V, vv = i % V;
-          float best = -std::numeric_limits<float>::infinity();
-          for (int64_t kk = 0; kk < K; ++kk) {
-            const int64_t r = bb * K + kk;
-            const float val =
-                (as[r] * cs[vv]) * static_cast<float>(acc[r * V + vv]);
-            if (val > best) best = val;
+        if (specs_ == nullptr) {  // Run: write the routed tile
+          for (int64_t r = 0; r < b; ++r) {
+            float* out = scores + r * V + c0;
+            if (mean) {
+              std::memcpy(out, raw + r * TW,
+                          static_cast<size_t>(tw) * sizeof(float));
+            } else {
+              simd::MaxRows(raw + r * K * TW, K, TW, out, tw);
+            }
           }
-          dst[i] = best;
+          continue;
         }
-      });
+        for (int64_t r = 0; r < b; ++r) {  // RunTopK: select from it
+          if (!mean) {
+            simd::MaxRows(raw + r * K * TW, K, TW, routed + r * TW, tw);
+          }
+          PushTile(s * max_batch_ + r, specs_[r], routed + r * TW, c0, tw);
+        }
+      }
+    }
+  });
+  if (specs_ == nullptr) return;
+  // Merge each row's stripe heaps in stripe order: they are contiguous, so
+  // compact them to the front and sort the best k.
+  for (int64_t r = 0; r < b; ++r) {
+    const Heap& first = heaps_[static_cast<size_t>(r)];
+    ScoredItem* row = cand_.get() + first.begin;
+    int64_t n = first.size;
+    for (int64_t s = 1; s < stripes; ++s) {
+      const Heap& h = heaps_[static_cast<size_t>(s * max_batch_ + r)];
+      std::memmove(row + n, cand_.get() + h.begin,
+                   static_cast<size_t>(h.size) * sizeof(ScoredItem));
+      n += h.size;
+    }
+    const int64_t take = std::min<int64_t>(specs_[r].k, n);
+    std::partial_sort(row, row + take, row + n, RanksBeforeItem);
+    ranked_[static_cast<size_t>(r)] = RankedRow{row, take};
+  }
+}
+
+// A bounded heap with its worst entry on top. Columns arrive in ascending
+// id order within a stripe, so a column whose score only ties the worst
+// loses the id tie-break: once the heap is full, FindFirstGreater can skip
+// every column not strictly above the worst score (a NaN worst, which any
+// number beats, disables the skip). Exclusions are skipped by merge-walk.
+void PlannedExecutor::PushTile(int64_t heap, const RankSpec& spec,
+                               const float* x, int64_t c0, int64_t n) {
+  Heap& h = heaps_[static_cast<size_t>(heap)];
+  ScoredItem* data = cand_.get() + h.begin;
+  const int32_t* ex_end = spec.exclude + spec.num_exclude;
+  const int32_t* ex = std::lower_bound(spec.exclude, ex_end, c0);
+  for (int64_t j = 0; j < n; ++j) {
+    if (h.size == h.cap && !std::isnan(data[0].score)) {
+      j += simd::FindFirstGreater(x + j, n - j, data[0].score);
+      if (j == n) return;
+    }
+    const ScoredItem cand{x[j], static_cast<int32_t>(c0 + j)};
+    while (ex != ex_end && *ex < cand.item) ++ex;
+    if (ex != ex_end && *ex == cand.item) continue;
+    if (h.size < h.cap) {
+      data[h.size++] = cand;
+      std::push_heap(data, data + h.size, RanksBeforeItem);
+    } else if (RanksBeforeItem(cand, data[0])) {
+      std::pop_heap(data, data + h.size, RanksBeforeItem);
+      data[h.size - 1] = cand;
+      std::push_heap(data, data + h.size, RanksBeforeItem);
+    }
+  }
 }
 
 }  // namespace missl::infer

@@ -9,7 +9,7 @@
 //
 //   embed-sum -> hypergraph attention -> transformer encoder
 //     -> per-behavior K-interest extraction -> gated fusion (+ common
-//        interest) -> catalog scoring
+//        interest) -> column-tiled catalog scoring -> per-row top-k
 //
 // into a static sequence of Op records over a fixed buffer table. Every
 // shape, arena offset, fused weight pointer and plan-time constant (the
@@ -19,8 +19,16 @@
 // nodes and zero steady-state allocations — all intermediates live in one
 // pool-backed scratch arena sized at plan time.
 //
+// The plan ends at the answer. Its last op walks the catalog in column
+// tiles: it scores every interest row against one tile, folds routing (and
+// the int8 dequant) per column, and feeds the routed tile to one of two
+// sinks — RunTopK pushes it into per-row bounded top-k heaps (the serving
+// path; no [b, V] score matrix is ever written), Run copies it into the
+// full [b, V] score matrix (the parity oracle's view).
+//
 // The bitwise contract: Run() produces scores bitwise identical to
-// MisslModel::ScoreAllItems on the same batch, on every SIMD tier at every
+// MisslModel::ScoreAllItems on the same batch, and RunTopK() lists bitwise
+// identical to core::TopKRow over those scores, on every SIMD tier at every
 // thread count. Fusions (bias+activation in the GEMM epilogue,
 // residual-add folded into layer-norm, the additive mask folded into the
 // softmax pass, the exp/clamp of the hypergraph normalizer computed once
@@ -62,9 +70,9 @@ enum class OpKind : int {
   kGatedFuse,           ///< dst = src + src2 * scale (sigmoid gate folded in)
   kCommonPool,          ///< masked mean pool + last position (common interest)
   kBroadcastAddRow,     ///< dst[b,k,:] = src[b,k,:] + src2[b,:]
-  kCatalogScore,        ///< logits = interests x catalog; max/mean routing
-  kCatalogScoreQ,       ///< int8 catalog scoring: quantize activations,
-                        ///< int32 row-dots, fp32 dequant fused into routing
+  kCatalogScore,        ///< column-tiled interests x catalog (fp32 GEMM or
+                        ///< int8 dot + dequant), max/mean routing per
+                        ///< column, into the top-k or full-score sink
 };
 
 /// Fused activation epilogues applied per element after the bias add of a
@@ -101,13 +109,14 @@ struct BufferSpec {
 ///   kGatedFuse:        scale = sigmoid(fusion_gate) plan constant.
 ///   kCommonPool:       src = encoded, dst = [d] pooled common interest.
 ///   kBroadcastAddRow:  src2 = [d] row added to each of the K interest rows.
-///   kCatalogScore:     w = catalog [d, V]; flag = mean routing; scratch =
-///                      logits ([K, V]) or interest mean ([d]).
-///   kCatalogScoreQ:    wq/wscale = item-major int8 catalog [V, d] + per-item
-///                      scales [V]; flag = mean routing; scratch = interest
-///                      mean ([d], mean routing only — the int32 accumulators
-///                      and int8 activation rows live in presized executor
-///                      members, not the float arena).
+///   kCatalogScore:     w = fp32 catalog [d, V], or (int8 tier, w null)
+///                      wq/wscale = item-major int8 catalog [V, d] + per-item
+///                      scales [V]; flag = mean routing; dst = the Run score
+///                      sink [V]; scratch = per-stripe tiles (raw interest
+///                      rows x kTileCols, then the routed rows); scratch2 =
+///                      interest mean ([d], mean routing only). The int8
+///                      activation rows and the top-k candidate lists live
+///                      in presized executor members, not the float arena.
 struct Op {
   OpKind kind = OpKind::kLinear;
   std::string label;
@@ -155,9 +164,29 @@ struct QuantInfo {
   int64_t fp32_bytes = 0;     ///< fp32 catalog footprint, for the ratio
 };
 
+/// One ranked catalog entry.
+struct ScoredItem {
+  float score;
+  int32_t item;
+};
+
+/// What RunTopK ranks for one batch row.
+struct RankSpec {
+  int32_t k = 10;                    ///< list length, >= 1
+  const int32_t* exclude = nullptr;  ///< sorted ascending; duplicates and ids
+                                     ///< outside [0, V) are harmless
+  int64_t num_exclude = 0;
+};
+
+/// A row's answer from the last RunTopK: `size` entries, best first.
+struct RankedRow {
+  const ScoredItem* items = nullptr;
+  int64_t size = 0;
+};
+
 /// A frozen MisslModel forward compiled to a static op plan. Thread-safety:
-/// Compile is safe anywhere; Run mutates the scratch arena, so at most one
-/// Run may execute at a time (RecoService calls it from the single
+/// Compile is safe anywhere; Run and RunTopK mutate the scratch arena, so at
+/// most one run may execute at a time (RecoService calls it from the single
 /// dispatcher thread). The model's parameters — and, for an fp32 plan, the
 /// catalog — are kept alive by the executor (shared storage), so the
 /// executor may outlive the model object and the caller's catalog handle.
@@ -189,6 +218,27 @@ class PlannedExecutor {
   /// allocator counters (tensor/alloc.h) are flat across calls, which
   /// tests/infer_test.cc and bench_m1_alloc's churn gate both enforce.
   const float* Run(const data::Batch& batch);
+
+  /// Executes the plan on `batch` and ranks row r of the catalog by
+  /// core::RanksBefore, skipping specs[r].exclude; ranked(r) then holds
+  /// min(specs[r].k, items left) entries, bitwise equal to core::TopKRow
+  /// over Run's scores. The score matrix is never written: each column tile
+  /// is routed and selected from while it is cache-resident. Same
+  /// requirements as Run, and the same zero-allocation guarantee (the
+  /// candidate lists are presized at Compile).
+  void RunTopK(const data::Batch& batch, const RankSpec* specs);
+  /// Row `row`'s list from the last RunTopK (valid until the next run).
+  RankedRow ranked(int64_t row) const {
+    return ranked_[static_cast<size_t>(row)];
+  }
+
+  /// Catalog columns per tile: one tile of every interest row (b·K x 64
+  /// floats at most, 12 KiB at b = 16, K = 3) stays L1/L2-resident while it
+  /// is routed and ranked.
+  static constexpr int64_t kTileCols = 64;
+  /// Upper bound on the column stripes one catalog pass is split into (one
+  /// per ParallelFor chunk, each with its own tile and candidate lists).
+  static constexpr int64_t kMaxStripes = 8;
 
   int64_t num_ops() const { return static_cast<int64_t>(ops_.size()); }
   int64_t num_buffers() const { return static_cast<int64_t>(bufs_.size()); }
@@ -232,7 +282,12 @@ class PlannedExecutor {
   void ExecCommonPool(const Op& op, int64_t b);
   void ExecBroadcastAddRow(const Op& op, int64_t b);
   void ExecCatalogScore(const Op& op, int64_t b);
-  void ExecCatalogScoreQ(const Op& op, int64_t b);
+  /// Shared body of Run and RunTopK; specs_ selects the catalog sink.
+  void RunOps(const data::Batch& batch);
+  /// Pushes routed scores x[0, n) of columns [c0, c0 + n) into the
+  /// stripe-local heap heaps_[heap].
+  void PushTile(int64_t heap, const RankSpec& spec, const float* x,
+                int64_t c0, int64_t n);
 
   float* BufPtr(int32_t id) {
     return arena_.data() + bufs_[static_cast<size_t>(id)].offset;
@@ -266,7 +321,26 @@ class PlannedExecutor {
   std::vector<float> catalog_scale_;   ///< [V] per-item scales
   std::vector<int8_t> act_q_;          ///< per-run quantized activation rows
   std::vector<float> act_scale_;       ///< per-run activation row scales
-  std::unique_ptr<int32_t[]> acc_q_;   ///< per-run int32 dots (unwritten)
+
+  // Catalog top-k sink. Row r's stripe heaps sit back to back in cand_,
+  // each holding min(k, stripe width) entries at most, so a row never needs
+  // more than V slots; only the slots a run's k values reach are touched.
+  // cand_ is mapped straight from the kernel: a heap block of this size can
+  // be memory an earlier phase (loading, compiling) already made resident,
+  // while fresh pages become resident only when a run writes them.
+  struct Unmap {
+    size_t bytes;
+    void operator()(ScoredItem* p) const;
+  };
+  struct Heap {
+    int64_t begin = 0;  ///< first slot in cand_
+    int64_t size = 0;
+    int64_t cap = 0;
+  };
+  const RankSpec* specs_ = nullptr;      ///< set during RunTopK only
+  std::unique_ptr<ScoredItem[], Unmap> cand_;  ///< [max_batch * V]
+  std::vector<Heap> heaps_;              ///< [kMaxStripes * max_batch]
+  std::vector<RankedRow> ranked_;        ///< [max_batch]
 
   // Per-run integer scratch (presized at compile; Run only overwrites).
   std::vector<int32_t> items_;  ///< effective merged items (ablation-masked)

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <future>
 #include <limits>
 #include <utility>
 
-#include "core/recommend.h"
 #include "infer/plan.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
@@ -25,10 +25,10 @@ struct ServeMetrics {
   obs::Histogram& batch_size;
   obs::Histogram& queue_wait_ns;
   obs::Histogram& request_ns;
-  // Per-request stage breakdown (docs/OBSERVABILITY.md): batch = wait for
-  // the coalescing window, score = batch build + model forward, rank =
-  // per-row top-K selection. The parse/queue/write stages live in the TCP
-  // front-end (serve/tcp_server.cc).
+  // Per-request stage breakdown (docs/OBSERVABILITY.md): batch = enqueue
+  // to batch start, score = batch build + plan run (ranking included),
+  // rank = copying the ranked lists out of the plan. The parse/queue/write
+  // stages live in the TCP front-end (serve/tcp_server.cc).
   obs::Histogram& stage_batch_ns;
   obs::Histogram& stage_score_ns;
   obs::Histogram& stage_rank_ns;
@@ -46,6 +46,31 @@ struct ServeMetrics {
     return m;
   }
 };
+
+// Rejects what BuildQueryBatch and the plan cannot take: mismatched history
+// arrays, out-of-range item/behavior ids, k < 1.
+Status ValidateQuery(const Query& query, int32_t num_items,
+                     int32_t num_behaviors) {
+  if (query.k < 1) return Status::InvalidArgument("k must be >= 1");
+  if (query.items.size() != query.behaviors.size()) {
+    return Status::InvalidArgument("items/behaviors length mismatch");
+  }
+  if (!query.timestamps.empty() &&
+      query.timestamps.size() != query.items.size()) {
+    return Status::InvalidArgument("timestamps length mismatch");
+  }
+  for (size_t i = 0; i < query.items.size(); ++i) {
+    if (query.items[i] < 0 || query.items[i] >= num_items) {
+      return Status::InvalidArgument(
+          "history item id out of range: " + std::to_string(query.items[i]));
+    }
+    if (query.behaviors[i] < 0 || query.behaviors[i] >= num_behaviors) {
+      return Status::InvalidArgument(
+          "behavior id out of range: " + std::to_string(query.behaviors[i]));
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -211,6 +236,7 @@ std::unique_ptr<RecoService> RecoService::Load(
   // through large one-off buffers; return them to the system so the
   // steady-state footprint reflects only what serving re-uses.
   alloc::Trim();
+  svc->specs_.resize(static_cast<size_t>(config.max_batch));
   svc->dispatcher_ = std::thread([s = svc.get()] { s->DispatcherLoop(); });
   return svc;
 }
@@ -224,39 +250,37 @@ RecoService::~RecoService() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-Status RecoService::TopK(const Query& query, TopKResult* out) {
-  MISSL_CHECK(out != nullptr);
-  if (query.k < 1) return Status::InvalidArgument("k must be >= 1");
-  if (query.items.size() != query.behaviors.size()) {
-    return Status::InvalidArgument("items/behaviors length mismatch");
+void RecoService::Submit(Query query, Completion done) {
+  MISSL_CHECK(done != nullptr);
+  Status invalid = ValidateQuery(query, num_items_, num_behaviors_);
+  if (!invalid.ok()) {
+    done(invalid, TopKResult{});
+    return;
   }
-  if (!query.timestamps.empty() &&
-      query.timestamps.size() != query.items.size()) {
-    return Status::InvalidArgument("timestamps length mismatch");
-  }
-  for (size_t i = 0; i < query.items.size(); ++i) {
-    if (query.items[i] < 0 || query.items[i] >= num_items_) {
-      return Status::InvalidArgument(
-          "history item id out of range: " + std::to_string(query.items[i]));
-    }
-    if (query.behaviors[i] < 0 || query.behaviors[i] >= num_behaviors_) {
-      return Status::InvalidArgument(
-          "behavior id out of range: " + std::to_string(query.behaviors[i]));
-    }
-  }
-
-  std::future<TopKResult> future;
-  int64_t enqueue_ns = obs::NowNanos();
+  // The plan's top-k skips exclusions by merge-walk.
+  std::sort(query.exclude.begin(), query.exclude.end());
   {
     std::lock_guard<std::mutex> l(mu_);
-    if (stop_) return Status::Internal("service is shutting down");
-    queue_.push_back(Pending{&query, std::promise<TopKResult>(), enqueue_ns});
-    future = queue_.back().promise.get_future();
+    if (!stop_) {
+      queue_.push_back(
+          Pending{std::move(query), std::move(done), obs::NowNanos()});
+      cv_.notify_all();
+      return;
+    }
   }
-  cv_.notify_all();
-  *out = future.get();
-  ServeMetrics::Get().request_ns.Observe(obs::NowNanos() - enqueue_ns);
-  return Status::OK();
+  done(Status::Internal("service is shutting down"), TopKResult{});
+}
+
+Status RecoService::TopK(const Query& query, TopKResult* out) {
+  MISSL_CHECK(out != nullptr);
+  // Shared, so the completion never touches a frame TopK has returned from.
+  auto answered = std::make_shared<std::promise<Status>>();
+  std::future<Status> status = answered->get_future();
+  Submit(query, [answered, out](const Status& s, TopKResult r) {
+    *out = std::move(r);
+    answered->set_value(s);
+  });
+  return status.get();
 }
 
 void RecoService::DispatcherLoop() {
@@ -265,16 +289,19 @@ void RecoService::DispatcherLoop() {
   NoGradGuard ng;
   ServeMetrics& metrics = ServeMetrics::Get();
   std::unique_lock<std::mutex> l(mu_);
+  bool idle = true;
   for (;;) {
     cv_.wait(l, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) {
       if (stop_) return;  // drained: only exit once no work remains
       continue;
     }
-    if (static_cast<int32_t>(queue_.size()) < config_.max_batch &&
+    if (idle && static_cast<int32_t>(queue_.size()) < config_.max_batch &&
         config_.max_wait_us > 0 && !stop_) {
-      // Hold the batch open briefly so concurrent callers coalesce into one
-      // forward instead of paying a model pass each.
+      // Adaptive batching: only a scorer that sat idle holds the batch open
+      // for concurrent callers to coalesce into one forward. Work that
+      // queued while a batch ran is dispatched at once — waiting would add
+      // latency without filling the batch any faster.
       auto deadline = std::chrono::steady_clock::now() +
                       std::chrono::microseconds(config_.max_wait_us);
       cv_.wait_until(l, deadline, [&] {
@@ -290,8 +317,8 @@ void RecoService::DispatcherLoop() {
       work.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    // Account for the batch before releasing the lock: ProcessBatch resolves
-    // the client futures, and a client that returns from TopK must observe
+    // Account for the batch before releasing the lock: ProcessBatch runs
+    // the completions, and a caller that sees its answer must observe
     // counters that already include its own batch.
     batches_run_ += 1;
     requests_served_ += static_cast<int64_t>(work.size());
@@ -300,7 +327,9 @@ void RecoService::DispatcherLoop() {
     metrics.batch_size.Observe(static_cast<int64_t>(work.size()));
     l.unlock();
     ProcessBatch(&work);
+    work.clear();  // release the completions' captures outside the lock
     l.lock();
+    idle = queue_.empty();
   }
 }
 
@@ -321,37 +350,40 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
       config_.num_threads > 0 ? config_.num_threads : runtime::NumThreads());
   std::vector<const Query*> queries;
   queries.reserve(work->size());
-  for (const Pending& p : *work) queries.push_back(p.query);
+  for (size_t row = 0; row < work->size(); ++row) {
+    const Query& q = (*work)[row].query;
+    queries.push_back(&q);
+    specs_[row] = infer::RankSpec{q.k, q.exclude.data(),
+                                  static_cast<int64_t>(q.exclude.size())};
+  }
   data::Batch batch =
       BuildQueryBatch(queries, config_.max_len, num_behaviors_);
-  // [B, num_items] row-major scores, resident in the plan's arena until the
-  // next Run.
-  const float* score_data = plan_->Run(batch);
+  plan_->RunTopK(batch, specs_.data());
   int64_t scored_ns = obs::NowNanos();
 
+  // Ranking happened inside the plan; what remains is copying each row's
+  // list out of it.
   std::vector<TopKResult> results(work->size());
-  std::vector<int32_t> sorted_excl;
   for (size_t row = 0; row < work->size(); ++row) {
-    const Pending& p = (*work)[row];
-    const float* rs = score_data + static_cast<int64_t>(row) * num_items_;
-    const std::vector<int32_t>* excl = nullptr;
-    if (!p.query->exclude.empty()) {
-      sorted_excl = p.query->exclude;
-      std::sort(sorted_excl.begin(), sorted_excl.end());
-      excl = &sorted_excl;
+    const infer::RankedRow ranked = plan_->ranked(static_cast<int64_t>(row));
+    TopKResult& res = results[row];
+    res.items.resize(static_cast<size_t>(ranked.size));
+    res.scores.resize(static_cast<size_t>(ranked.size));
+    for (int64_t i = 0; i < ranked.size; ++i) {
+      res.items[static_cast<size_t>(i)] = ranked.items[i].item;
+      res.scores[static_cast<size_t>(i)] = ranked.items[i].score;
     }
-    core::TopKRow(rs, num_items_, excl, p.query->k, &results[row].items,
-                  &results[row].scores);
   }
   int64_t ranked_ns = obs::NowNanos();
-  // Observe the stage samples before resolving any future, so a client that
-  // returns from TopK (and immediately scrapes /metrics) sees its own batch.
-  for (size_t row = 0; row < work->size(); ++row) {
+  // Observe every sample before running any completion, so a caller that
+  // sees its answer (and immediately scrapes /metrics) sees its own batch.
+  for (const Pending& p : *work) {
     metrics.stage_score_ns.Observe(scored_ns - start_ns);
     metrics.stage_rank_ns.Observe(ranked_ns - scored_ns);
+    metrics.request_ns.Observe(ranked_ns - p.enqueue_ns);
   }
   for (size_t row = 0; row < work->size(); ++row) {
-    (*work)[row].promise.set_value(std::move(results[row]));
+    (*work)[row].done(Status::OK(), std::move(results[row]));
   }
 }
 

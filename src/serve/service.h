@@ -5,28 +5,32 @@
 //
 // Request flow (see docs/SERVING.md for the full architecture):
 //
-//   client threads ──TopK()──► pending queue ──► dispatcher thread
-//                                                  │ coalesces up to
-//                                                  │ max_batch queries,
-//                                                  │ waiting max_wait_us
-//                                                  ▼
-//                                       one PlannedExecutor::Run on the
-//                                       runtime pool + per-row TopKRow
-//                                                  │
-//   client threads ◄──std::future◄─────────────────┘
+//   any thread ──Submit()──► pending queue ──► dispatcher thread
+//   (never blocks)                               │ coalesces up to max_batch
+//                                                │ queries; waits max_wait_us
+//                                                │ only when it was idle
+//                                                ▼
+//                                     one PlannedExecutor::RunTopK on the
+//                                     runtime pool (ranking inside the plan)
+//                                                │
+//   completion callback ◄── dispatcher thread ◄──┘
+//
+// TopK() is a blocking wrapper over Submit() for callers that want one
+// answer on their own thread.
 //
 // Determinism: every model op is row-independent, so a query's top-K list is
 // bitwise identical no matter which requests it was coalesced with — and,
-// because the plan is bitwise equal to MisslModel::ScoreAllItems, identical
-// to the offline core::RecommendTopN path on the same history
-// (tests/serve_test.cc holds both properties under concurrency).
+// because the plan's scores are bitwise equal to MisslModel::ScoreAllItems
+// and its top-k to core::TopKRow over them, identical to the offline
+// core::RecommendTopN path on the same history (tests/serve_test.cc holds
+// both properties under concurrency).
 #ifndef MISSL_SERVE_SERVICE_H_
 #define MISSL_SERVE_SERVICE_H_
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,6 +43,7 @@
 
 namespace missl::infer {
 class PlannedExecutor;
+struct RankSpec;
 }  // namespace missl::infer
 
 namespace missl::serve {
@@ -101,10 +106,20 @@ class RecoService {
   RecoService(const RecoService&) = delete;
   RecoService& operator=(const RecoService&) = delete;
 
+  /// Receives a query's answer: OK with the result, or an error with an
+  /// empty result. Runs on the dispatcher thread — or inline inside
+  /// Submit when the query is rejected — so it must be quick and must not
+  /// block on the service.
+  using Completion = std::function<void(const Status&, TopKResult)>;
+
+  /// Queues one query without blocking; `done` runs exactly once. Malformed
+  /// input (mismatched history arrays, out-of-range item/behavior ids,
+  /// k < 1) and a service that is shutting down complete inline with an
+  /// error, without enqueuing. Safe to call from any number of threads.
+  void Submit(Query query, Completion done);
+
   /// Answers one query, blocking until the coalesced batch containing it has
-  /// been scored. Safe to call from any number of threads. Returns
-  /// InvalidArgument (without enqueuing) on malformed input: mismatched
-  /// history arrays, out-of-range item/behavior ids, or k < 1.
+  /// been scored: Submit plus a wait. Returns Submit's error on rejection.
   Status TopK(const Query& query, TopKResult* out);
 
   const core::MisslModel& model() const { return *model_; }
@@ -121,8 +136,8 @@ class RecoService {
 
  private:
   struct Pending {
-    const Query* query;  ///< caller blocks on the future, so a pointer is safe
-    std::promise<TopKResult> promise;
+    Query query;  ///< exclude sorted ascending at Submit
+    Completion done;
     int64_t enqueue_ns;
   };
 
@@ -136,6 +151,7 @@ class RecoService {
   int32_t num_behaviors_;
   ServeConfig config_;
   std::unique_ptr<infer::PlannedExecutor> plan_;  ///< compiled at Load
+  std::vector<infer::RankSpec> specs_;  ///< dispatcher-only, max_batch rows
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -142,11 +142,6 @@ std::unique_ptr<TcpServer> TcpServer::Start(RecoService* service,
         "TcpServerConfig.max_connections must be >= 1");
     return nullptr;
   }
-  if (config.num_workers < 1) {
-    *status =
-        Status::InvalidArgument("TcpServerConfig.num_workers must be >= 1");
-    return nullptr;
-  }
   if (config.max_line_bytes < 1 || config.max_buffered_write_bytes < 1) {
     *status = Status::InvalidArgument(
         "TcpServerConfig byte limits must be >= 1");
@@ -254,10 +249,6 @@ std::unique_ptr<TcpServer> TcpServer::Start(RecoService* service,
 
   srv->start_ns_ = obs::NowNanos();
   srv->epoll_thread_ = std::thread([s = srv.get()] { s->EpollLoop(); });
-  srv->workers_.reserve(static_cast<size_t>(config.num_workers));
-  for (int i = 0; i < config.num_workers; ++i) {
-    srv->workers_.emplace_back([s = srv.get()] { s->WorkerLoop(); });
-  }
   *status = Status::OK();
   return srv;
 }
@@ -317,13 +308,10 @@ void TcpServer::Shutdown() {
     TcpMetrics::Get().closed.Add(1);
   }
   TcpMetrics::Get().active.Set(0);
-  {
-    std::lock_guard<std::mutex> l(jobs_mu_);
-    jobs_stop_ = true;
-  }
-  jobs_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  // A query whose connection died can still be in the batcher; its
+  // completion touches this server, so wait until none is left.
+  std::unique_lock<std::mutex> l(mu_);
+  drained_cv_.wait(l, [&] { return outstanding_ == 0; });
 }
 
 int64_t TcpServer::active_connections() const {
@@ -356,7 +344,7 @@ void TcpServer::EpollLoop() {
                          static_cast<int>(events.size()), 100);
     if (n < 0) {
       if (errno == EINTR) continue;
-      break;  // unrecoverable epoll failure; Shutdown still drains workers
+      break;  // unrecoverable epoll failure; Shutdown still waits for answers
     }
     for (int i = 0; i < n; ++i) {
       int fd = events[static_cast<size_t>(i)].data.fd;
@@ -392,7 +380,7 @@ void TcpServer::EpollLoop() {
       if ((mask & EPOLLOUT) != 0) FlushConn(conn);
     }
 
-    // Flush requests queued by workers since the last pass.
+    // Flush requests queued by completions since the last pass.
     std::vector<std::shared_ptr<Conn>> to_flush;
     {
       std::lock_guard<std::mutex> l(mu_);
@@ -614,10 +602,41 @@ void TcpServer::HandleLine(const std::shared_ptr<Conn>& conn,
     ++conn->in_flight;
   }
   {
-    std::lock_guard<std::mutex> l(jobs_mu_);
-    jobs_.push_back(Job{conn, std::move(parsed), parsed_ns});
+    std::lock_guard<std::mutex> l(mu_);
+    ++outstanding_;
   }
-  jobs_cv_.notify_one();
+  service_->Submit(std::move(parsed.query),
+                   [this, conn, id = parsed.id](const Status& st,
+                                                TopKResult result) {
+                     CompleteQuery(conn, id, st, result);
+                   });
+  StageMetrics::Get().queue_ns.Observe(obs::NowNanos() - parsed_ns);
+}
+
+void TcpServer::CompleteQuery(const std::shared_ptr<Conn>& conn, int64_t id,
+                              const Status& status,
+                              const TopKResult& result) {
+  std::string line =
+      status.ok() ? TopKToJson(id, result) : ErrorToJson(id, status.message());
+  {
+    // Decrement and append under one lock: the epoll thread may only close
+    // a draining connection when it can see BOTH in_flight == 0 and the
+    // answer bytes, never a window in between (the drain guarantee).
+    std::lock_guard<std::mutex> l(conn->mu);
+    --conn->in_flight;
+    if (!conn->closed) {
+      conn->wbuf += line;
+      conn->wbuf += '\n';
+      conn->bytes_enqueued += line.size() + 1;
+      // serve.stage.write_ns: from answer enqueued to its last byte sent.
+      conn->write_marks.emplace_back(conn->bytes_enqueued, obs::NowNanos());
+    }
+  }
+  ScheduleFlush(conn);
+  // Last touch of the server: notify under the lock, so Shutdown cannot
+  // return (and the server die) before this completion lets go of mu_.
+  std::lock_guard<std::mutex> l(mu_);
+  if (--outstanding_ == 0) drained_cv_.notify_all();
 }
 
 void TcpServer::ProcessAdminBuffer(const std::shared_ptr<Conn>& conn) {
@@ -726,7 +745,6 @@ std::string TcpServer::StatuszJson() const {
      << ",\"num_threads\":" << sc.num_threads
      << ",\"precision\":\"" << PrecisionName(sc.precision) << "\"}"
      << ",\"tcp_config\":{\"max_connections\":" << config_.max_connections
-     << ",\"num_workers\":" << config_.num_workers
      << ",\"max_line_bytes\":" << config_.max_line_bytes
      << ",\"max_buffered_write_bytes\":" << config_.max_buffered_write_bytes
      << "}"
@@ -781,43 +799,6 @@ std::string TcpServer::StatuszJson() const {
      << ",\"ring_capacity\":" << obs::FlightRingCapacity()
      << ",\"recorded\":" << obs::FlightRecorderTotalRecorded() << "}}";
   return ss.str();
-}
-
-void TcpServer::WorkerLoop() {
-  for (;;) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> l(jobs_mu_);
-      jobs_cv_.wait(l, [&] { return jobs_stop_ || !jobs_.empty(); });
-      if (jobs_.empty()) {
-        if (jobs_stop_) return;
-        continue;
-      }
-      job = std::move(jobs_.front());
-      jobs_.pop_front();
-    }
-    StageMetrics::Get().queue_ns.Observe(obs::NowNanos() - job.enqueue_ns);
-    TopKResult result;
-    Status s = service_->TopK(job.parsed.query, &result);
-    std::string line = s.ok() ? TopKToJson(job.parsed.id, result)
-                              : ErrorToJson(job.parsed.id, s.message());
-    {
-      // Decrement and append under one lock: the epoll thread may only close
-      // a draining connection when it can see BOTH in_flight == 0 and the
-      // answer bytes, never a window in between (the drain guarantee).
-      std::lock_guard<std::mutex> l(job.conn->mu);
-      --job.conn->in_flight;
-      if (!job.conn->closed) {
-        job.conn->wbuf += line;
-        job.conn->wbuf += '\n';
-        job.conn->bytes_enqueued += line.size() + 1;
-        // serve.stage.write_ns: from answer enqueued to its last byte sent.
-        job.conn->write_marks.emplace_back(job.conn->bytes_enqueued,
-                                           obs::NowNanos());
-      }
-    }
-    ScheduleFlush(job.conn);
-  }
 }
 
 void TcpServer::EnqueueResponse(const std::shared_ptr<Conn>& conn,

@@ -4,25 +4,25 @@
 //
 // Architecture (see docs/SERVING.md for the full picture):
 //
-//   clients ══socket══►  epoll loop (1 thread)          worker threads (N)
-//                          │ accept / read / write        │
-//                          │ split-line buffering         │ RecoService::TopK
-//                          │ per conn; parse lines        │ (blocks inside the
-//                          ├─── job queue ───────────────►│  micro-batcher)
-//                          │                              │
-//                          ◄── response buffer + eventfd ─┘
+//   clients ══socket══►  epoll loop (1 thread)        RecoService dispatcher
+//                          │ accept / read / write      │
+//                          │ split-line buffering       │ coalesces queued
+//                          │ per conn; parse lines      │ queries, runs the
+//                          ├── RecoService::Submit ────►│ plan, then runs
+//                          │   (never blocks)           │ each completion
+//                          ◄── response buffer + eventfd┘
 //                          │ backpressure-aware flush
 //   clients ◄══socket══════┘
 //
 // The epoll thread owns every socket: it accepts connections, buffers reads
 // until a full '\n'-terminated line is available (lines may arrive split
-// across any number of packets), parses each line, and hands well-formed
-// queries to a small worker pool. Workers block inside RecoService::TopK —
-// that is what lets concurrent connections coalesce in the micro-batcher —
-// then append the JSON answer to the connection's write buffer and wake the
-// epoll thread through an eventfd to flush it. Responses on one connection
-// may be answered out of order when the client pipelines; the echoed "id"
-// field is the correlation key.
+// across any number of packets), parses each line, and submits well-formed
+// queries straight to the service's micro-batcher, so every pipelined
+// request is queued where batches form. The completion runs on the
+// service's dispatcher thread: it appends the JSON answer to the
+// connection's write buffer and wakes the epoll thread through an eventfd
+// to flush it. Responses on one connection may be answered out of order
+// when the client pipelines; the echoed "id" field is the correlation key.
 //
 // Robustness contract (locked by tests/tcp_server_test.cc and the socket
 // sweep in tests/serve_fuzz_test.cc):
@@ -38,9 +38,10 @@
 //     exceeds max_buffered_write_bytes the server stops reading from that
 //     connection until the buffer drains, so one slow client cannot balloon
 //     server memory;
-//   - Shutdown() drains: queries already handed to workers complete and
-//     their answers are flushed before connections close, while connects
-//     arriving after drain begins get {"id":-1,"error":"shutting down"}.
+//   - Shutdown() drains: queries already submitted complete and their
+//     answers are flushed before connections close, while connects arriving
+//     after drain begins get {"id":-1,"error":"shutting down"}; it returns
+//     only once no completion can still touch the server.
 //
 // Admin plane: a second loopback listener (TcpServerConfig::admin_port)
 // multiplexed on the same epoll loop answers HTTP/1.0 GETs — /metrics
@@ -49,8 +50,8 @@
 // (Connection: close), exempt from max_connections and from the query-plane
 // drain (scraping a draining server is the point), and are force-closed only
 // when the epoll thread exits. Rendering happens on the epoll thread; admin
-// traffic never touches the worker pool or the micro-batcher, so it cannot
-// perturb query answers.
+// traffic never touches the micro-batcher, so it cannot perturb query
+// answers.
 #ifndef MISSL_SERVE_TCP_SERVER_H_
 #define MISSL_SERVE_TCP_SERVER_H_
 
@@ -73,12 +74,15 @@
 namespace missl::serve {
 
 /// TCP front-end knobs. Defaults suit tests and loopback benches; a real
-/// deployment would raise max_connections and num_workers.
+/// deployment would raise max_connections.
 struct TcpServerConfig {
   int port = 0;             ///< 0 = ephemeral; TcpServer::port() reports it
   int admin_port = 0;       ///< admin HTTP port: 0 = ephemeral, -1 = disabled
   int max_connections = 256;   ///< concurrent clients before refusals
-  int num_workers = 4;         ///< threads blocking in RecoService::TopK
+  /// Ignored. Queries go straight from the epoll thread to the service's
+  /// batcher, so there is no worker pool; the field stays only so existing
+  /// callers keep compiling.
+  int num_workers = 4;
   int64_t max_line_bytes = 1 << 20;  ///< longest accepted request line
   int64_t max_buffered_write_bytes = 4 << 20;  ///< per-conn backpressure cap
   int backlog = 128;           ///< listen(2) backlog
@@ -89,8 +93,8 @@ struct TcpServerConfig {
 /// outlive the server.
 class TcpServer {
  public:
-  /// Binds 127.0.0.1:config.port (0 picks an ephemeral port), starts the
-  /// epoll thread and the worker pool. Returns nullptr with `*status` set on
+  /// Binds 127.0.0.1:config.port (0 picks an ephemeral port) and starts the
+  /// epoll thread. Returns nullptr with `*status` set on
   /// bind/listen failure or invalid config; `*status` is OK on success.
   static std::unique_ptr<TcpServer> Start(RecoService* service,
                                           const TcpServerConfig& config,
@@ -112,9 +116,10 @@ class TcpServer {
   /// closes. The admin plane keeps answering (/healthz reports draining).
   void BeginShutdown();
 
-  /// BeginShutdown() + blocks until every query connection has drained and
-  /// all threads are joined (remaining admin connections are flushed
-  /// best-effort and closed). Idempotent; called by the destructor.
+  /// BeginShutdown() + blocks until every query connection has drained, the
+  /// epoll thread is joined and every submitted query's completion has
+  /// returned (remaining admin connections are flushed best-effort and
+  /// closed). Idempotent; called by the destructor.
   void Shutdown();
 
   /// Connections currently open (draining ones included).
@@ -125,7 +130,7 @@ class TcpServer {
 
  private:
   /// One client socket, shared between the epoll thread (all socket I/O)
-  /// and workers (response enqueue only, under `mu`).
+  /// and query completions (response enqueue only, under `mu`).
   struct Conn {
     int fd = -1;
     bool admin = false;        ///< accepted on the admin listener (HTTP)
@@ -138,8 +143,8 @@ class TcpServer {
     std::mutex mu;
     std::string wbuf;          ///< pending response bytes (guarded by mu)
     size_t woff = 0;           ///< bytes of wbuf already sent
-    int in_flight = 0;         ///< queries handed to workers, unanswered
-    bool closed = false;       ///< fd closed; workers drop late answers
+    int in_flight = 0;         ///< queries submitted, unanswered
+    bool closed = false;       ///< fd closed; completions drop late answers
     bool close_after_flush = false;  ///< one-shot (admin): close when drained
     // serve.stage.write_ns bookkeeping (query conns only): total bytes ever
     // appended to / sent from wbuf, plus (enqueued-watermark, enqueue-time)
@@ -149,16 +154,9 @@ class TcpServer {
     std::deque<std::pair<uint64_t, int64_t>> write_marks;
   };
 
-  struct Job {
-    std::shared_ptr<Conn> conn;
-    ParsedQuery parsed;
-    int64_t enqueue_ns = 0;  ///< serve.stage.queue_ns start
-  };
-
   TcpServer(RecoService* service, const TcpServerConfig& config);
 
   void EpollLoop();
-  void WorkerLoop();
   void AcceptPending();
   void AcceptAdminPending();
   /// Writes `line` + '\n' to a fresh fd best-effort and closes it.
@@ -167,6 +165,11 @@ class TcpServer {
   /// Splits rbuf into complete lines; parses and dispatches each.
   void ProcessReadBuffer(const std::shared_ptr<Conn>& conn);
   void HandleLine(const std::shared_ptr<Conn>& conn, const std::string& line);
+  /// A submitted query's completion (dispatcher thread, or inline when the
+  /// service rejects it): appends the answer line, schedules a flush, then
+  /// releases the server for Shutdown.
+  void CompleteQuery(const std::shared_ptr<Conn>& conn, int64_t id,
+                     const Status& status, const TopKResult& result);
   /// Admin-plane read path: waits for a full HTTP request head, answers it,
   /// and schedules the connection to close once the response is flushed.
   void ProcessAdminBuffer(const std::shared_ptr<Conn>& conn);
@@ -203,7 +206,7 @@ class TcpServer {
   int listen_fd_ = -1;
   int admin_listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: workers → epoll thread
+  int wake_fd_ = -1;  ///< eventfd: completions → epoll thread
   int64_t start_ns_ = 0;  ///< obs::NowNanos() at Start, for /statusz uptime
 
   mutable std::mutex mu_;
@@ -215,14 +218,12 @@ class TcpServer {
   int64_t accepted_ = 0;
   int64_t refused_ = 0;
   int64_t query_conns_ = 0;  ///< open non-admin conns; drain waits on 0
-
-  std::mutex jobs_mu_;
-  std::condition_variable jobs_cv_;
-  std::deque<Job> jobs_;
-  bool jobs_stop_ = false;
+  /// Submitted queries whose completion has not returned; Shutdown waits
+  /// on 0, since a completion touches mu_ and wake_fd_ after its
+  /// connection's last in_flight decrement.
+  int64_t outstanding_ = 0;
 
   std::thread epoll_thread_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace missl::serve

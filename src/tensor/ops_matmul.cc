@@ -52,7 +52,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           int64_t s = r / m;
           int64_t end = (s + 1) * m < r1 ? (s + 1) * m : r1;
           simd::GemmRows(pa + s * m * k, pb + (b_batched ? s * k * n : 0),
-                         po + s * m * n, k, n, r - s * m, end - s * m);
+                         po + s * m * n, k, n, n, n, r - s * m, end - s * m);
           r = end;
         }
       });

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "utils/check.h"
@@ -16,7 +17,9 @@ namespace missl::simd {
 #ifdef MISSL_SIMD_AVX2
 namespace avx2 {
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
-              int64_t r0, int64_t r1);
+              int64_t ldb, int64_t ldc, int64_t r0, int64_t r1);
+void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n);
+int64_t FindFirstGreater(const float* x, int64_t n, float thr);
 void AxpyRow(float s, const float* x, float* y, int64_t n);
 void AddRow(const float* a, const float* b, float* o, int64_t n);
 void SubRow(const float* a, const float* b, float* o, int64_t n);
@@ -216,17 +219,35 @@ ScopedTier::~ScopedTier() { SetTier(prev_); }
 namespace scalar {
 
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
-              int64_t r0, int64_t r1) {
+              int64_t ldb, int64_t ldc, int64_t r0, int64_t r1) {
   for (int64_t i = r0; i < r1; ++i) {
     const float* arow = a + i * k;
-    float* crow = c + i * n;
+    float* crow = c + i * ldc;
     for (int64_t kk = 0; kk < k; ++kk) {
       float av = arow[kk];
       if (av == 0.0f) continue;
-      const float* brow = b + kk * n;
+      const float* brow = b + kk * ldb;
       for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
+}
+
+void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n) {
+  for (int64_t j = 0; j < n; ++j) {
+    float best = -std::numeric_limits<float>::infinity();
+    for (int64_t r = 0; r < rows; ++r) {
+      const float x = a[r * lda + j];
+      if (x > best) best = x;
+    }
+    o[j] = best;
+  }
+}
+
+int64_t FindFirstGreater(const float* x, int64_t n, float thr) {
+  for (int64_t j = 0; j < n; ++j) {
+    if (x[j] > thr) return j;
+  }
+  return n;
 }
 
 void AxpyRow(float s, const float* x, float* y, int64_t n) {
@@ -360,8 +381,16 @@ void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
 #endif
 
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
-              int64_t r0, int64_t r1) {
-  MISSL_SIMD_DISPATCH(GemmRows, a, b, c, k, n, r0, r1);
+              int64_t ldb, int64_t ldc, int64_t r0, int64_t r1) {
+  MISSL_SIMD_DISPATCH(GemmRows, a, b, c, k, n, ldb, ldc, r0, r1);
+}
+
+void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n) {
+  MISSL_SIMD_DISPATCH(MaxRows, a, rows, lda, o, n);
+}
+
+int64_t FindFirstGreater(const float* x, int64_t n, float thr) {
+  MISSL_SIMD_DISPATCH(FindFirstGreater, x, n, thr);
 }
 
 void AxpyRow(float s, const float* x, float* y, int64_t n) {

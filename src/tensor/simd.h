@@ -109,12 +109,26 @@ class ScopedTier {
 // alias `a` (pure elementwise, in-place safe) but distinct inputs must not
 // overlap outputs.
 
-/// C[i,:] += A[i,:] * B for output rows i in [r0, r1) of one [m,k] x [k,n]
-/// product. Each C cell accumulates over k in ascending order with a
-/// rounded multiply then a rounded add per step, skipping a == 0.0f terms —
-/// on every tier, so the result is bitwise tier-independent.
+/// C[i,:n] += A[i,:] * B[:, :n] for output rows i in [r0, r1) of one
+/// [m,k] x [k,n] product, where B and C have row strides ldb and ldc (a
+/// dense product passes ldb = ldc = n; a column range of a wider B is read
+/// in place by pointing b at its first column). Each C cell accumulates over
+/// k in ascending order with a rounded multiply then a rounded add per step,
+/// skipping a == 0.0f terms — on every tier, so the result is bitwise
+/// tier-independent and independent of which column range a call covers.
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
-              int64_t r0, int64_t r1);
+              int64_t ldb, int64_t ldc, int64_t r0, int64_t r1);
+
+/// o[j] = the strict-> ascending-r max of a[r*lda + j] over r in [0, rows),
+/// starting from -inf (Max in ops_reduce.cc): a NaN never wins, so an
+/// all-NaN column yields -inf, and of equal values (+0/-0) the first stays.
+/// The AVX2 path's _mm256_max_ps(x, best) is exactly `x > best ? x : best`.
+void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n);
+
+/// The smallest j in [0, n) with x[j] > thr (ordered compare: NaN is never
+/// greater), or n when there is none. Pure comparison, so every tier
+/// returns the same index.
+int64_t FindFirstGreater(const float* x, int64_t n, float thr);
 
 /// y[j] += s * x[j]. The matmul dB accumulation row.
 void AxpyRow(float s, const float* x, float* y, int64_t n);

@@ -84,7 +84,7 @@ inline void BinaryRow(const float* a, const float* b, float* o, int64_t n,
 // and per k step, one rounded multiply followed by one rounded add in
 // ascending k order — the scalar semantics exactly.
 void GemmOneRow(const float* arow, const float* b, float* crow, int64_t k,
-                int64_t n, int64_t j) {
+                int64_t n, int64_t ldb, int64_t j) {
   for (; j + 64 <= n; j += 64) {
     __m256 acc0 = _mm256_loadu_ps(crow + j);
     __m256 acc1 = _mm256_loadu_ps(crow + j + 8);
@@ -97,7 +97,7 @@ void GemmOneRow(const float* arow, const float* b, float* crow, int64_t k,
     for (int64_t kk = 0; kk < k; ++kk) {
       float av = arow[kk];
       if (av == 0.0f) continue;
-      const float* brow = b + kk * n + j;
+      const float* brow = b + kk * ldb + j;
       __m256 avv = _mm256_set1_ps(av);
       acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(avv, _mm256_loadu_ps(brow)));
       acc1 =
@@ -132,7 +132,7 @@ void GemmOneRow(const float* arow, const float* b, float* crow, int64_t k,
     for (int64_t kk = 0; kk < k; ++kk) {
       float av = arow[kk];
       if (av == 0.0f) continue;
-      const float* brow = b + kk * n + j;
+      const float* brow = b + kk * ldb + j;
       __m256 avv = _mm256_set1_ps(av);
       acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(avv, _mm256_loadu_ps(brow)));
       acc1 =
@@ -154,7 +154,7 @@ void GemmOneRow(const float* arow, const float* b, float* crow, int64_t k,
       if (av == 0.0f) continue;
       __m256 avv = _mm256_set1_ps(av);
       acc = _mm256_add_ps(
-          acc, _mm256_mul_ps(avv, _mm256_loadu_ps(b + kk * n + j)));
+          acc, _mm256_mul_ps(avv, _mm256_loadu_ps(b + kk * ldb + j)));
     }
     _mm256_storeu_ps(crow + j, acc);
   }
@@ -163,7 +163,7 @@ void GemmOneRow(const float* arow, const float* b, float* crow, int64_t k,
     for (int64_t kk = 0; kk < k; ++kk) {
       float av = arow[kk];
       if (av == 0.0f) continue;
-      acc += av * b[kk * n + j];
+      acc += av * b[kk * ldb + j];
     }
     crow[j] = acc;
   }
@@ -185,7 +185,7 @@ void GemmOneRow(const float* arow, const float* b, float* crow, int64_t k,
 // accumulate into C), and the zero-skip is applied per row exactly as in
 // the scalar tier, so results stay bitwise identical.
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
-              int64_t r0, int64_t r1) {
+              int64_t ldb, int64_t ldc, int64_t r0, int64_t r1) {
   // 64 k-steps x 32 columns = 8 KiB: comfortably L1-resident alongside the
   // A and C lines the sweep touches.
   constexpr int64_t kKTile = 64;
@@ -197,7 +197,7 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
     for (int64_t kk0 = 0; kk0 < k; kk0 += kKTile) {
       const int64_t kt = kk0 + kKTile <= k ? kKTile : k - kk0;
       for (int64_t t = 0; t < kt; ++t) {
-        const float* brow = b + (kk0 + t) * n + j;
+        const float* brow = b + (kk0 + t) * ldb + j;
         float* prow = pack + t * 32;
         _mm256_store_ps(prow, _mm256_loadu_ps(brow));
         _mm256_store_ps(prow + 8, _mm256_loadu_ps(brow + 8));
@@ -207,8 +207,8 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
       for (int64_t i = r0; i < rows2; i += 2) {
         const float* arow0 = a + i * k + kk0;
         const float* arow1 = arow0 + k;
-        float* crow0 = c + i * n + j;
-        float* crow1 = crow0 + n;
+        float* crow0 = c + i * ldc + j;
+        float* crow1 = crow0 + ldc;
         __m256 p0 = _mm256_loadu_ps(crow0);
         __m256 p1 = _mm256_loadu_ps(crow0 + 8);
         __m256 p2 = _mm256_loadu_ps(crow0 + 16);
@@ -252,7 +252,7 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
       }
       if (rows2 < r1) {
         const float* arow = a + rows2 * k + kk0;
-        float* crow = c + rows2 * n + j;
+        float* crow = c + rows2 * ldc + j;
         __m256 p0 = _mm256_loadu_ps(crow);
         __m256 p1 = _mm256_loadu_ps(crow + 8);
         __m256 p2 = _mm256_loadu_ps(crow + 16);
@@ -277,9 +277,61 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
   if (j < n) {
     // Ragged column tail (< 32 columns), unpacked per row.
     for (int64_t i = r0; i < r1; ++i) {
-      GemmOneRow(a + i * k, b, c + i * n, k, n, j);
+      GemmOneRow(a + i * k, b, c + i * ldc, k, n, ldb, j);
     }
   }
+}
+
+// Lane-wise strict-> max: _mm256_max_ps(x, best) returns x only when
+// x > best (NaN or equal values keep best), the scalar `if (x > best)`.
+void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n) {
+  const __m256 ninf = _mm256_set1_ps(-__builtin_inff());
+  int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    __m256 best = ninf;
+    for (int64_t r = 0; r < rows; ++r) {
+      best = _mm256_max_ps(_mm256_loadu_ps(a + r * lda + j), best);
+    }
+    _mm256_storeu_ps(o + j, best);
+  }
+  for (; j < n; ++j) {
+    float best = -__builtin_inff();
+    for (int64_t r = 0; r < rows; ++r) {
+      const float x = a[r * lda + j];
+      if (x > best) best = x;
+    }
+    o[j] = best;
+  }
+}
+
+// 32 lanes per step: a catalog top-k row rejects almost every column once
+// its heap is full, so the scan is the hot loop of ranking.
+int64_t FindFirstGreater(const float* x, int64_t n, float thr) {
+  const __m256 t = _mm256_set1_ps(thr);
+  int64_t j = 0;
+  for (; j + 32 <= n; j += 32) {
+    const __m256 m0 = _mm256_cmp_ps(_mm256_loadu_ps(x + j), t, _CMP_GT_OQ);
+    const __m256 m1 = _mm256_cmp_ps(_mm256_loadu_ps(x + j + 8), t, _CMP_GT_OQ);
+    const __m256 m2 =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j + 16), t, _CMP_GT_OQ);
+    const __m256 m3 =
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j + 24), t, _CMP_GT_OQ);
+    const uint32_t bits =
+        static_cast<uint32_t>(_mm256_movemask_ps(m0)) |
+        (static_cast<uint32_t>(_mm256_movemask_ps(m1)) << 8) |
+        (static_cast<uint32_t>(_mm256_movemask_ps(m2)) << 16) |
+        (static_cast<uint32_t>(_mm256_movemask_ps(m3)) << 24);
+    if (bits != 0) return j + __builtin_ctz(bits);
+  }
+  for (; j + 8 <= n; j += 8) {
+    const int bits = _mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(x + j), t, _CMP_GT_OQ));
+    if (bits != 0) return j + __builtin_ctz(static_cast<unsigned>(bits));
+  }
+  for (; j < n; ++j) {
+    if (x[j] > thr) return j;
+  }
+  return n;
 }
 
 namespace {

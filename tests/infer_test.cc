@@ -8,6 +8,7 @@
 // allocator traffic, and the arena packs buffers by live range. The served
 // answers themselves are compared with the graph forward by serve_test and
 // tcp_server_test (through RecommendTopN).
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -26,6 +27,8 @@
 #include "tensor/tensor.h"
 #include "utils/rng.h"
 #include "utils/status.h"
+
+#include "test_util.h"
 
 namespace missl {
 namespace {
@@ -227,14 +230,21 @@ TEST(PlannedExecutorTest, SteadyStateRunsAllocateNothing) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch big = MakeBatch(8, 11);
   data::Batch small = MakeBatch(3, 12);
+  const std::vector<int32_t> excl = {1, 5, 9};
+  std::vector<infer::RankSpec> specs(8, infer::RankSpec{10, excl.data(), 3});
+  specs[1].k = kItems;  // the largest candidate lists a row can need
   plan->Run(big);  // warmup (first-touch only; the arena exists already)
+  plan->RunTopK(big, specs.data());
   alloc::AllocStats before = alloc::GetAllocStats();
-  for (int i = 0; i < 20; ++i) plan->Run(i % 2 == 0 ? big : small);
+  for (int i = 0; i < 20; ++i) {
+    plan->Run(i % 2 == 0 ? big : small);
+    plan->RunTopK(i % 2 == 0 ? small : big, specs.data());
+  }
   alloc::AllocStats after = alloc::GetAllocStats();
-  // Zero Storage traffic of ANY kind per steady-state Run: no pool churn,
-  // no system allocations. This is the allocation half of the inference
-  // contract (the churn gate in bench_m1_alloc holds the end-to-end
-  // serve-planned variant of the same property).
+  // Zero Storage traffic of ANY kind per steady-state Run or RunTopK: no
+  // pool churn, no system allocations. This is the allocation half of the
+  // inference contract (the churn gate in bench_m1_alloc holds the
+  // end-to-end serve-planned variant of the same property).
   EXPECT_EQ(after.pool_hits - before.pool_hits, 0);
   EXPECT_EQ(after.pool_misses - before.pool_misses, 0);
   EXPECT_EQ(after.system_allocs - before.system_allocs, 0);
@@ -286,11 +296,58 @@ TEST(PlannedExecutorTest, PlanIntrospection) {
   EXPECT_NE(dump.find("interest_extract"), std::string::npos);
 }
 
+TEST(PlannedExecutorTest, FusedTopKMatchesTopKRowOnEveryTierAndThreadCount) {
+  // V smaller than one tile, a ragged last tile, and whole tiles (which
+  // split into up to four stripes at four threads).
+  for (int32_t items : {57, 150, 256}) {
+    for (core::InterestRouting routing :
+         {core::InterestRouting::kMax, core::InterestRouting::kMean}) {
+      core::MisslConfig cfg = BaseConfig();
+      cfg.routing = routing;
+      core::MisslModel model(items, kBehaviors, kMaxLen, cfg);
+      model.SetTraining(false);
+      Tensor catalog = model.PrecomputeCatalog();
+      // Exact ties (item 3's column copied across a tile boundary and to
+      // the last item) and a NaN column: max routing turns it into -inf,
+      // mean routing keeps the NaN.
+      const int64_t d = cfg.dim;
+      float* cat = catalog.data();
+      for (int64_t j = 0; j < d; ++j) {
+        for (int64_t c : {int64_t{63}, int64_t{items - 1}}) {
+          cat[j * items + std::min<int64_t>(c, items - 1)] = cat[j * items + 3];
+        }
+      }
+      cat[5] = std::nanf("");
+      Status status;
+      auto plan = infer::PlannedExecutor::Compile(model, catalog, 6, &status);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      data::Batch batch = MakeBatch(5, 31 + static_cast<uint64_t>(items));
+      std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
+      if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
+      for (simd::Tier tier : tiers) {
+        simd::ScopedTier tier_guard(tier);
+        for (int threads : {1, 2, 4}) {
+          runtime::ScopedNumThreads thread_guard(threads);
+          testing::ExpectRunTopKMatchesTopKRow(
+              plan.get(), batch,
+              "V=" + std::to_string(items) +
+                  (routing == core::InterestRouting::kMean ? " mean"
+                                                           : " max") +
+                  " tier=" + simd::TierName(tier) +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
 TEST(PlannedExecutorTest, ArenaPacksBuffersByLiveRange) {
   // The serving shape of the large ledger workload: V = 20000, T = 50,
   // d = 32, K = 3, 4 behaviors, max_batch 16. One private region per buffer
-  // needed 8.09 MiB; packing buffers whose live ranges are disjoint into
-  // shared bytes must keep the arena under 5 MiB.
+  // would need 8.09 MiB. Packed by live range, and with the catalog op
+  // scoring into per-stripe tiles instead of a [16·K, V] logits buffer,
+  // what remains is mostly Run's [16, V] score sink (1.22 MiB), which
+  // serving never touches.
   core::MisslConfig cfg;
   cfg.dim = 32;
   cfg.num_interests = 3;
@@ -300,7 +357,7 @@ TEST(PlannedExecutorTest, ArenaPacksBuffersByLiveRange) {
   auto plan = infer::PlannedExecutor::Compile(model, model.PrecomputeCatalog(),
                                               16, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_LE(plan->scratch_bytes(), int64_t{5} * 1024 * 1024)
+  EXPECT_LE(plan->scratch_bytes(), int64_t{3} * 1024 * 1024 / 2)
       << plan->ToString();
 }
 

@@ -9,9 +9,11 @@
 // dispatch/gauge plumbing, checks the contiguity guard, and locks the whole
 // stack down with a seeded 2-epoch end-to-end training golden compared
 // bitwise across every tier × thread-count combination.
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -253,6 +255,75 @@ TEST(KernelPropertyTest, MatMulSweep) {
   SweepOp("MatMul shared-B",
           [](std::vector<Tensor>& in) { return MatMul(in[0], in[1]); },
           {a3, b2}, {{bt, m, k}, {k, n}});
+}
+
+// The catalog top-k's kernels: GemmRows over a column range of a wider B
+// (ldb/ldc strides) equals those columns of the dense product; MaxRows keeps
+// the strict-> scan's NaN/±0 semantics; FindFirstGreater finds the same
+// index on every tier, across the 32/8-lane blocks and the scalar tail.
+TEST(KernelPropertyTest, CatalogTopKKernelsMatchScalarOnEveryTier) {
+  Rng rng(17);
+  const float nan = std::nanf("");
+  const float inf = std::numeric_limits<float>::infinity();
+  for (Tier tier : TiersToTest()) {
+    simd::ScopedTier st(tier);
+    for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{40}, int64_t{64},
+                      int64_t{100}}) {
+      const int64_t m = 5, k = 9, c0 = n / 3, w = n - c0;
+      std::vector<float> a = RandomData(m * k, &rng, 0.3f);
+      std::vector<float> bm = RandomData(k * n, &rng);
+      std::vector<float> dense(static_cast<size_t>(m * n), 0.0f);
+      simd::GemmRows(a.data(), bm.data(), dense.data(), k, n, n, n, 0, m);
+      std::vector<float> part(static_cast<size_t>(m * w), 0.0f);
+      simd::GemmRows(a.data(), bm.data() + c0, part.data(), k, w, n, w, 0, m);
+      for (int64_t i = 0; i < m; ++i) {
+        EXPECT_EQ(std::memcmp(part.data() + i * w, dense.data() + i * n + c0,
+                              static_cast<size_t>(w) * sizeof(float)),
+                  0)
+            << simd::TierName(tier) << " n=" << n << " row " << i;
+      }
+
+      // Rows of specials: NaN never wins, the first of +0/-0 stays, an
+      // all-NaN column yields -inf.
+      const float specials[] = {nan, 0.0f, -0.0f, -inf, inf, 1.0f};
+      std::vector<float> rows(static_cast<size_t>(3 * n));
+      for (float& x : rows) x = specials[rng.UniformInt(6)];
+      std::vector<float> got(static_cast<size_t>(n));
+      simd::MaxRows(rows.data(), 3, n, got.data(), n);
+      for (int64_t j = 0; j < n; ++j) {
+        float best = -inf;
+        for (int64_t r = 0; r < 3; ++r) {
+          const float x = rows[static_cast<size_t>(r * n + j)];
+          if (x > best) best = x;
+        }
+        EXPECT_EQ(std::memcmp(&got[static_cast<size_t>(j)], &best,
+                              sizeof(float)),
+                  0)
+            << simd::TierName(tier) << " n=" << n << " col " << j;
+      }
+
+      for (float thr : {-inf, 0.0f, 1.0f, inf, nan}) {
+        int64_t want = n;
+        for (int64_t j = 0; j < n; ++j) {
+          if (rows[static_cast<size_t>(j)] > thr) {
+            want = j;
+            break;
+          }
+        }
+        EXPECT_EQ(simd::FindFirstGreater(rows.data(), n, thr), want)
+            << simd::TierName(tier) << " n=" << n << " thr=" << thr;
+      }
+      // One hit at each lane-block edge, behind a run of misses.
+      for (int64_t hit : {int64_t{0}, int64_t{31}, int64_t{32}, int64_t{39},
+                          n - 1}) {
+        if (hit >= n) continue;
+        std::vector<float> x(static_cast<size_t>(n), -0.0f);
+        x[static_cast<size_t>(hit)] = 0.5f;
+        EXPECT_EQ(simd::FindFirstGreater(x.data(), n, 0.0f), hit)
+            << simd::TierName(tier) << " n=" << n;
+      }
+    }
+  }
 }
 
 TEST(KernelPropertyTest, SoftmaxFamilySweep) {

@@ -161,7 +161,6 @@ TEST(LoadGenTest, ClosedLoopBoundHoldsAgainstRealServer) {
   auto service = MakeService("loadgen_closed.bin", &status);
   ASSERT_NE(service, nullptr) << status.ToString();
   serve::TcpServerConfig tcfg;
-  tcfg.num_workers = 4;
   auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
   ASSERT_NE(server, nullptr) << status.ToString();
 
@@ -197,7 +196,6 @@ TEST(LoadGenTest, OpenLoopAnswersEveryScheduledRequest) {
   auto service = MakeService("loadgen_open.bin", &status);
   ASSERT_NE(service, nullptr) << status.ToString();
   serve::TcpServerConfig tcfg;
-  tcfg.num_workers = 4;
   auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
   ASSERT_NE(server, nullptr) << status.ToString();
 

@@ -37,6 +37,8 @@
 #include "utils/rng.h"
 #include "utils/status.h"
 
+#include "test_util.h"
+
 namespace missl {
 namespace {
 
@@ -466,13 +468,65 @@ TEST(QuantPlanTest, SteadyStateInt8RunsAllocateNothing) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch big = MakeBatch(8, 11);
   data::Batch small = MakeBatch(3, 12);
+  const std::vector<int32_t> excl = {1, 5, 9};
+  std::vector<infer::RankSpec> specs(8, infer::RankSpec{10, excl.data(), 3});
+  specs[1].k = kItems;  // the largest candidate lists a row can need
   plan->Run(big);  // warmup
+  plan->RunTopK(big, specs.data());
   alloc::AllocStats before = alloc::GetAllocStats();
-  for (int i = 0; i < 20; ++i) plan->Run(i % 2 == 0 ? big : small);
+  for (int i = 0; i < 20; ++i) {
+    plan->Run(i % 2 == 0 ? big : small);
+    plan->RunTopK(i % 2 == 0 ? small : big, specs.data());
+  }
   alloc::AllocStats after = alloc::GetAllocStats();
   EXPECT_EQ(after.pool_hits - before.pool_hits, 0);
   EXPECT_EQ(after.pool_misses - before.pool_misses, 0);
   EXPECT_EQ(after.system_allocs - before.system_allocs, 0);
+}
+
+// The int8 tier's fused top-k against core::TopKRow over its own Run, on
+// every kernel configuration and thread count. V covers less than one tile,
+// a ragged last tile and whole tiles; exact ties come from duplicated
+// catalog columns, which quantize to identical codes and scales.
+TEST(QuantPlanTest, Int8FusedTopKMatchesTopKRowOnEveryTierAndThreadCount) {
+  for (int32_t items : {57, 150, 256}) {
+    for (core::InterestRouting routing :
+         {core::InterestRouting::kMax, core::InterestRouting::kMean}) {
+      core::MisslConfig cfg = BaseConfig();
+      cfg.routing = routing;
+      core::MisslModel model(items, kBehaviors, kMaxLen, cfg);
+      model.SetTraining(false);
+      Tensor catalog = model.PrecomputeCatalog();
+      float* cat = catalog.data();
+      for (int64_t j = 0; j < cfg.dim; ++j) {
+        for (int64_t c : {int64_t{63}, int64_t{items - 1}}) {
+          cat[j * items + std::min<int64_t>(c, items - 1)] = cat[j * items + 3];
+        }
+      }
+      Status status;
+      infer::InferConfig icfg;
+      icfg.quantize_catalog = true;
+      auto plan =
+          infer::PlannedExecutor::Compile(model, catalog, 6, icfg, &status);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      data::Batch batch = MakeBatch(5, 31 + static_cast<uint64_t>(items));
+      for (const KernelConfig& kcfg : KernelConfigs()) {
+        simd::ScopedTier tier_guard(kcfg.tier);
+        simd::ScopedAvxVnni vnni_guard(kcfg.vnni);
+        for (int threads : {1, 2, 4}) {
+          runtime::ScopedNumThreads thread_guard(threads);
+          testing::ExpectRunTopKMatchesTopKRow(
+              plan.get(), batch,
+              "V=" + std::to_string(items) +
+                  (routing == core::InterestRouting::kMean ? " mean"
+                                                           : " max") +
+                  " tier=" + simd::TierName(kcfg.tier) +
+                  " vnni=" + std::to_string(kcfg.vnni) +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
 }
 
 TEST(QuantPlanTest, IntrospectionAndMemoryFootprint) {

@@ -212,7 +212,6 @@ class SocketFuzzTest : public ::testing::Test {
     std::remove(path.c_str());
     ASSERT_NE(service_, nullptr) << status.ToString();
     TcpServerConfig tcfg;
-    tcfg.num_workers = 2;
     tcfg.max_line_bytes = 1024;
     server_ = TcpServer::Start(service_.get(), tcfg, &status);
     ASSERT_NE(server_, nullptr) << status.ToString();

@@ -4,6 +4,8 @@
 // coalescing, input validation, and the line protocol. The micro-batcher is
 // part of the TSan CI job (scripts/check.sh tsan), so every test here must
 // be race-free by construction.
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -419,6 +421,53 @@ TEST(ProtocolTest, RejectsMalformedLines) {
   EXPECT_FALSE(serve::ParseQueryLine("1\t5\t1:0:2:3", &q).ok());  // 4 parts
   EXPECT_FALSE(serve::ParseQueryLine("1\t5\t1:0:5,2:1", &q).ok());  // mixed ts
   EXPECT_FALSE(serve::ParseQueryLine("1\t5\t1:0\tx", &q).ok());   // bad excl
+}
+
+// core::TopKRow's order is total: score descending, NaN after every number,
+// then item id ascending. Before it was pinned, equal scores came out in
+// unspecified order and a NaN score broke std::partial_sort's strict weak
+// ordering requirement (undefined behavior).
+TEST(TopKRowTest, RanksByScoreThenNanLastThenItemId) {
+  const float nan = std::nanf("");
+  const float inf = std::numeric_limits<float>::infinity();
+  // id:                         0     1    2     3     4     5      6
+  const std::vector<float> row = {1.0f, nan, 2.0f, 1.0f, -inf, 2.0f, -0.0f,
+                                  // 7     8
+                                  0.0f, nan};
+  const int32_t n = static_cast<int32_t>(row.size());
+  std::vector<int32_t> items;
+  std::vector<float> scores;
+  core::TopKRow(row.data(), n, nullptr, n, &items, &scores);
+  // Ties fall to the lower id: 2 before 5, 0 before 3, -0.0 (6) before 0.0
+  // (7); -inf is a number; the NaNs come last, by id.
+  EXPECT_EQ(items, (std::vector<int32_t>{2, 5, 0, 3, 6, 7, 4, 1, 8}));
+  ASSERT_EQ(scores.size(), items.size());
+  EXPECT_TRUE(std::signbit(scores[4]));  // item 6's -0.0 is reported as is
+  EXPECT_FALSE(std::signbit(scores[5]));
+  EXPECT_EQ(scores[6], -inf);
+  EXPECT_TRUE(std::isnan(scores[7]) && std::isnan(scores[8]));
+
+  // A shorter list is a prefix of the full order, ties included.
+  core::TopKRow(row.data(), n, nullptr, 3, &items, &scores);
+  EXPECT_EQ(items, (std::vector<int32_t>{2, 5, 0}));
+
+  // k above V minus the exclusions returns every remaining item; duplicate
+  // and out-of-range exclusion ids are harmless.
+  const std::vector<int32_t> excl = {2, 2, 5, 9, 100};
+  core::TopKRow(row.data(), n, &excl, 50, &items, &scores);
+  EXPECT_EQ(items, (std::vector<int32_t>{0, 3, 6, 7, 4, 1, 8}));
+
+  // A row whose every item is excluded yields an empty list.
+  std::vector<int32_t> all(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) all[static_cast<size_t>(i)] = i;
+  core::TopKRow(row.data(), n, &all, 5, &items, &scores);
+  EXPECT_TRUE(items.empty());
+  EXPECT_TRUE(scores.empty());
+
+  // An all-NaN row still ranks, by id.
+  const std::vector<float> nans(4, nan);
+  core::TopKRow(nans.data(), 4, nullptr, 2, &items, &scores);
+  EXPECT_EQ(items, (std::vector<int32_t>{0, 1}));
 }
 
 TEST(ProtocolTest, FormatsTopKJson) {

@@ -1,14 +1,20 @@
-// Shared helpers for the test suite: finite-difference gradient checking and
-// tolerant float comparison.
+// Shared helpers for the test suite: finite-difference gradient checking,
+// tolerant float comparison, and the planned executor's top-k parity check.
 #ifndef MISSL_TESTS_TEST_UTIL_H_
 #define MISSL_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/recommend.h"
+#include "data/batch.h"
+#include "infer/plan.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -59,6 +65,66 @@ inline void ExpectTensorNear(const Tensor& a, const std::vector<float>& expect,
   ASSERT_EQ(static_cast<size_t>(a.numel()), expect.size());
   for (size_t i = 0; i < expect.size(); ++i) {
     EXPECT_NEAR(a.data()[i], expect[i], tol) << "element " << i;
+  }
+}
+
+/// Exclusions aimed at the fused top-k's merge-walk: the first and last
+/// column of tiles, columns of the ragged last tile, duplicates and ids
+/// >= V. Shifted by `row` so batch rows differ; sorted.
+inline std::vector<int32_t> TileEdgeExclusions(int64_t num_items, int64_t row) {
+  const int64_t tw = infer::PlannedExecutor::kTileCols;
+  std::vector<int32_t> ex;
+  for (int64_t c : {int64_t{0}, tw - 1, tw, 2 * tw - 1, num_items - 1,
+                    num_items - 2, num_items - 1, num_items, num_items + 7}) {
+    ex.push_back(static_cast<int32_t>(c + (c < num_items - 2 ? row : 0)));
+  }
+  std::sort(ex.begin(), ex.end());
+  return ex;
+}
+
+/// RunTopK must equal core::TopKRow over Run's scores bitwise, in items and
+/// scores: for k = 1, 10 and V uniformly, then for a per-row mix of the
+/// three, with TileEdgeExclusions on every other row.
+inline void ExpectRunTopKMatchesTopKRow(infer::PlannedExecutor* plan,
+                                        const data::Batch& batch,
+                                        const std::string& where) {
+  const int64_t b = batch.batch_size;
+  const int32_t v = static_cast<int32_t>(plan->num_items());
+  const float* run = plan->Run(batch);
+  const std::vector<float> scores(run, run + b * v);
+  std::vector<std::vector<int32_t>> excl(static_cast<size_t>(b));
+  for (int64_t r = 0; r < b; r += 2) {
+    excl[static_cast<size_t>(r)] = TileEdgeExclusions(v, r);
+  }
+  const int32_t ks[] = {1, 10, v};
+  for (int mix = 0; mix < 4; ++mix) {
+    std::vector<infer::RankSpec> specs(static_cast<size_t>(b));
+    for (int64_t r = 0; r < b; ++r) {
+      const std::vector<int32_t>& ex = excl[static_cast<size_t>(r)];
+      specs[static_cast<size_t>(r)] = infer::RankSpec{
+          ks[mix < 3 ? mix : r % 3], ex.data(),
+          static_cast<int64_t>(ex.size())};
+    }
+    plan->RunTopK(batch, specs.data());
+    for (int64_t r = 0; r < b; ++r) {
+      const std::vector<int32_t>& ex = excl[static_cast<size_t>(r)];
+      std::vector<int32_t> items;
+      std::vector<float> want;
+      core::TopKRow(scores.data() + r * v, v, ex.empty() ? nullptr : &ex,
+                    specs[static_cast<size_t>(r)].k, &items, &want);
+      const infer::RankedRow got = plan->ranked(r);
+      ASSERT_EQ(got.size, static_cast<int64_t>(items.size()))
+          << where << " row " << r << " k " << specs[static_cast<size_t>(r)].k;
+      for (int64_t i = 0; i < got.size; ++i) {
+        const size_t si = static_cast<size_t>(i);
+        ASSERT_EQ(got.items[i].item, items[si])
+            << where << " row " << r << " rank " << i;
+        ASSERT_EQ(std::memcmp(&got.items[i].score, &want[si], sizeof(float)),
+                  0)
+            << where << " row " << r << " rank " << i << ": "
+            << got.items[i].score << " vs " << want[si];
+      }
+    }
   }
 }
 
