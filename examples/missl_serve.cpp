@@ -75,7 +75,6 @@
 #include "core/recommend.h"
 #include "infer/plan.h"
 #include "nn/serialize.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -333,7 +332,7 @@ int main(int argc, char** argv) {
       if (sig == SIGUSR1) {
         std::string path =
             "missl_flight_" + std::to_string(time(nullptr)) + ".json";
-        Status s = obs::WriteFlightRecorder(path);
+        Status s = obs::WriteTrace(path);
         if (s.ok()) {
           std::fprintf(stderr, "SIGUSR1: flight recorder dumped to %s\n",
                        path.c_str());

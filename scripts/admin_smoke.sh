@@ -5,7 +5,8 @@
 #   /metrics  — Prometheus text with "# TYPE" lines and serve_* families
 #   /healthz  — 200 "ok" while serving
 #   /statusz  — machine-readable JSON
-#   /tracez   — valid Chrome trace JSON from the flight recorder
+#   /tracez   — a Chrome trace from the always-on span rings holding the
+#               query's serve.batch and infer.run spans
 # plus the SIGUSR1 flight-recorder dump and a clean SIGTERM drain. Run by
 # the CI release job and scripts/check.sh; exits non-zero on the first
 # malformed response.
@@ -103,7 +104,8 @@ echo "admin_smoke: /statusz"
 # Valid JSON, and it must report the precision the server was launched with
 # (and no executor selector: the compiled plan is the only scoring path)
 # plus the int8 catalog stats (docs/INFERENCE.md): quantization enabled,
-# sane per-row scales, and the ~4x catalog memory saving.
+# sane per-row scales, and the ~4x catalog memory saving. The span rings
+# have no on/off switch, so their block carries no "enabled" field.
 fetch "$base/statusz" | python3 -c '
 import json, sys
 s = json.load(sys.stdin)
@@ -114,12 +116,21 @@ q = s["quant"]
 assert q["enabled"] is True, q
 assert 0 < q["min_scale"] <= q["max_scale"], q
 assert q["int8_bytes"] < q["fp32_bytes"], q
+fr = s["flight_recorder"]
+assert "enabled" not in fr, fr
+assert fr["ring_capacity"] > 0 and fr["recorded"] > 0, fr
 '
 
 echo "admin_smoke: /tracez"
-tracez="$(fetch "$base/tracez")"
-python3 -m json.tool <<< "$tracez" > /dev/null
-grep -q '"traceEvents"' <<< "$tracez" || { echo "admin_smoke: /tracez is not a trace document"; exit 1; }
+# The one query above was scored alone, so its batch span says size 1.
+fetch "$base/tracez" | python3 -c '
+import json, sys
+t = json.load(sys.stdin)
+ev = t["traceEvents"]
+batches = [e for e in ev if e["name"] == "serve.batch"]
+assert any(e["args"]["size"] == 1 for e in batches), batches
+assert any(e["name"] == "infer.run" for e in ev), "no infer.run span"
+'
 
 echo "admin_smoke: 404 on unknown path"
 [[ "$(http_code "$base/nope")" == "404" ]] || { echo "admin_smoke: expected 404"; exit 1; }

@@ -11,8 +11,8 @@
 #      sockets, including the admin HTTP plane and a mid-burst Shutdown —
 #      serve_fuzz_test, whose socket sweep disconnects at every byte offset
 #      while those completions race in —
-#      exposition_test, which scrapes the metrics registry and the flight
-#      recorder's seqlock rings while they are being written —
+#      exposition_test, which scrapes the metrics registry and the span
+#      store's seqlock rings while they are being written and grown —
 #      kernel_property_test, which sweeps the SIMD tiers at 1/2/4 threads,
 #      alloc_test, which stresses the pooled allocator's cross-thread
 #      free path, infer_test — the planned executor's tier × thread parity

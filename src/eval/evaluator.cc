@@ -53,12 +53,8 @@ EvalResult Evaluator::EvaluateSubset(core::SeqRecModel* model,
                                      const std::vector<int32_t>& users,
                                      bool test) const {
   MISSL_CHECK(model != nullptr);
-  obs::TraceSpan eval_span(
-      "eval.evaluate", "eval",
-      obs::TracingEnabled()
-          ? "{\"users\":" + std::to_string(users.size()) +
-                ",\"test\":" + (test ? "true" : "false") + "}"
-          : std::string());
+  static constexpr obs::SpanSite kEvalSpan{"eval.evaluate", "eval", "users"};
+  obs::TraceSpan eval_span(kEvalSpan, static_cast<int64_t>(users.size()));
   static obs::Counter& user_counter =
       obs::MetricsRegistry::Global().GetCounter("eval.users");
   user_counter.Add(static_cast<int64_t>(users.size()));
@@ -85,7 +81,8 @@ EvalResult Evaluator::EvaluateSubset(core::SeqRecModel* model,
       (static_cast<int64_t>(users.size()) + batch_size - 1) / batch_size;
   std::vector<MetricAccumulator> partials(static_cast<size_t>(num_batches));
   runtime::ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1) {
-    obs::TraceSpan batch_span("eval.batch", "eval");
+    static constexpr obs::SpanSite kBatchSpan{"eval.batch", "eval"};
+    obs::TraceSpan batch_span(kBatchSpan);
     for (int64_t bi = b0; bi < b1; ++bi) {
       size_t start = static_cast<size_t>(bi * batch_size);
       size_t end =

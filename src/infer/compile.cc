@@ -84,7 +84,8 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
     const InferConfig& options, Status* status) {
   MISSL_CHECK(status != nullptr);
   *status = Status::OK();
-  obs::TraceSpan span("infer.compile", "infer");
+  static constexpr obs::SpanSite kCompileSpan{"infer.compile", "infer"};
+  obs::TraceSpan span(kCompileSpan);
   int64_t t0 = obs::NowNanos();
 
   auto ex = std::unique_ptr<PlannedExecutor>(new PlannedExecutor());

@@ -120,7 +120,8 @@ void PlannedExecutor::RunOps(const data::Batch& batch) {
               static_cast<int64_t>(batch.merged_behaviors.size()) == n)
       << "planned executor: merged stream size mismatch";
 
-  obs::TraceSpan span("infer.run", "infer");
+  static constexpr obs::SpanSite kRunSpan{"infer.run", "infer"};
+  obs::TraceSpan span(kRunSpan);
   const int64_t t0 = obs::NowNanos();
 
   // Masked id streams, exactly as MisslModel::Encode derives them:

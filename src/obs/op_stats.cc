@@ -20,7 +20,7 @@ const OpStats& OpStats::Get(const char* name) {
     it = stats->emplace(name, nullptr).first;
     // The name pointer aliases the map key (stable in std::map), so OpStats
     // never dangles even if the caller's string was temporary.
-    it->second.reset(new OpStats{it->first.c_str(),
+    it->second.reset(new OpStats{{it->first.c_str(), "tensor_op"},
                                  reg.GetCounter(base + ".calls"),
                                  reg.GetCounter(base + ".nanos")});
   }

@@ -1,7 +1,8 @@
 // Per-op instrumentation for the tensor dispatch layer: each named op entry
 // point opens an OpScope that counts the call and its wall time into the
-// metrics registry ("tensor.op.<Name>.calls" / ".nanos") and, while tracing
-// is on, records a span on the calling thread's trace track.
+// metrics registry ("tensor.op.<Name>.calls" / ".nanos") and, while a
+// tracing session is open (obs/trace.h), records a span on the calling
+// thread's track.
 //
 // With metrics and tracing both disabled the scope is two predictable
 // branches and no clock reads — cheap enough to sit on every op, including
@@ -18,7 +19,7 @@ namespace missl::obs {
 /// a process-lifetime reference; call sites hold it in a function-local
 /// static so the registry lock is paid once per site.
 struct OpStats {
-  const char* name;
+  SpanSite site;  ///< {op name, "tensor_op"}
   Counter& calls;
   Counter& nanos;
 
@@ -39,9 +40,7 @@ class OpScope {
     int64_t dur = NowNanos() - start_;
     stats_->calls.Add(1);
     stats_->nanos.Add(dur);
-    if (TracingEnabled()) {
-      EmitCompleteSpan(stats_->name, "tensor_op", start_, dur);
-    }
+    if (TracingEnabled()) RecordSpan(stats_->site, start_, dur);
   }
   OpScope(const OpScope&) = delete;
   OpScope& operator=(const OpScope&) = delete;

@@ -1,95 +1,107 @@
-// Scoped-timer tracing profiler emitting Chrome trace-event JSON.
+// Span store: every TraceSpan (and, inside a tracing session, every per-op
+// kernel span from obs/op_stats.h) lands in a per-thread ring of the most
+// recent spans, exported as Chrome trace-event JSON — open it at
+// https://ui.perfetto.dev or chrome://tracing to see pool workers, autograd,
+// plan runs, serve batches and training epochs as nested "X" events on
+// their thread's track.
 //
-// Spans are recorded into per-thread buffers (one uncontended mutex lock and
-// one vector append per span, paid only while tracing is on; the disabled
-// path is a single relaxed atomic load in the TraceSpan constructor).
-// WriteTrace exports everything as a Chrome trace-event file: open it at
-// https://ui.perfetto.dev or chrome://tracing to see the timeline — tensor
-// ops, pool workers, evaluation batches and training epochs each show up as
-// nested "X" (complete) events on their thread's track.
+// The store is always on, in one of two modes:
+//   - always-on: each ring holds FlightRingCapacity() slots
+//     (MISSL_FLIGHT_CAPACITY, default 4096) and overwrites its oldest span,
+//     so memory stays fixed regardless of uptime. /tracez, SIGUSR1 in
+//     missl_serve and WriteTrace dump it at any time.
+//   - session (StartTracing .. StopTracing): the rings are cleared, per-op
+//     kernel spans are recorded too, and a full ring doubles instead of
+//     overwriting, up to kTraceSessionBound slots per thread. Past that
+//     bound the oldest spans are overwritten.
+// Every dump ends with "otherData":{"overwritten_spans":N}, the spans
+// recorded since the last clear that the rings no longer hold.
 //
-// Typical use is via TrainConfig::trace_path (the trainer brackets the run),
-// or manually:
+// Recording takes no lock: each slot is a seqlock built from std::atomic
+// fields (TSan-clean), written only by the ring's owner thread. A dump walks
+// the rings under the registry mutex, concurrently with writers, and skips
+// slots it catches mid-write. A ring changes size only on its owner thread,
+// under that same mutex. Slots hold a pointer to the span's static SpanSite,
+// so a span costs no allocation.
 //
+//   static constexpr obs::SpanSite kPhase{"my.phase", "app", "items"};
 //   obs::StartTracing();
-//   { obs::TraceSpan span("my.phase", "app"); ...work...; }
+//   { obs::TraceSpan span(kPhase, n); ...work...; }
 //   obs::StopTracing();
 //   obs::WriteTrace("trace.json");
 #ifndef MISSL_OBS_TRACE_H_
 #define MISSL_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 
-#include "obs/flight_recorder.h"
 #include "utils/status.h"
 
 namespace missl::obs {
 
-/// True while spans are being recorded.
-bool TracingEnabled();
+/// One span call site. Every field is a string literal; `arg_key`, when
+/// set, names the span's one integer argument (exported as "args").
+/// Spans store a pointer to the site, so it must have static storage.
+struct SpanSite {
+  const char* name;
+  const char* cat;
+  const char* arg_key = nullptr;
+};
 
-/// Discards previously recorded events and starts recording.
-void StartTracing();
+/// Slots a thread ring may grow to inside a tracing session.
+inline constexpr size_t kTraceSessionBound = size_t{1} << 20;
 
-/// Stops recording; already-recorded events are kept for WriteTrace.
-void StopTracing();
-
-/// Drops all recorded events without touching the enabled flag.
-void ClearTrace();
-
-/// Number of events recorded so far (for tests and sanity checks).
-size_t TraceEventCount();
-
-/// Writes all recorded events as a Chrome trace-event JSON document.
-Status WriteTrace(const std::string& path);
-
-/// Serializes the recorded events to a Chrome trace-event JSON string.
-std::string TraceToJson();
+/// Slots per thread ring outside a session. Read once from
+/// MISSL_FLIGHT_CAPACITY at first use and clamped to [64, kTraceSessionBound].
+size_t FlightRingCapacity();
 
 /// Monotonic nanoseconds since a process-wide base; the time axis for all
 /// spans (and for the metric timers in obs/op_stats.h).
 int64_t NowNanos();
 
-/// Appends a complete ("ph":"X") event for the calling thread when tracing
-/// is enabled, and mirrors it into the flight recorder's ring
-/// (obs/flight_recorder.h, name interned, args dropped) when the recorder
-/// is enabled. No-op when both are off. `args_json`, when non-empty, must
-/// be a complete JSON object (e.g. "{\"epoch\":3}").
-void EmitCompleteSpan(std::string name, const char* cat, int64_t start_ns,
-                      int64_t dur_ns, std::string args_json = std::string());
+/// Records one complete span into the calling thread's ring.
+void RecordSpan(const SpanSite& site, int64_t start_ns, int64_t dur_ns,
+                int64_t arg = 0);
 
-/// RAII span covering its C++ scope. Active when either tracing or the
-/// flight recorder is on; constructing one while both are disabled records
-/// the disabled state and costs nothing at destruction.
+/// True while a tracing session is open.
+bool TracingEnabled();
+
+/// Clears the rings and opens a session.
+void StartTracing();
+
+/// Closes the session; the recorded spans stay for WriteTrace.
+void StopTracing();
+
+/// Drops every recorded span. Outside a session, a ring a session grew
+/// returns to FlightRingCapacity() slots on its owner's next span.
+void ClearTrace();
+
+/// Spans recorded since the last clear across all rings, counting those
+/// overwritten since.
+int64_t TraceSpansRecorded();
+
+/// Serializes the rings to a Chrome trace-event JSON document, one event
+/// per line. Safe at any time from any thread.
+std::string TraceToJson();
+
+/// TraceToJson streamed straight to a file.
+Status WriteTrace(const std::string& path);
+
+/// RAII span covering its C++ scope, recorded when the scope ends.
 class TraceSpan {
  public:
-  explicit TraceSpan(std::string name, const char* cat = "missl",
-                     std::string args_json = std::string())
-      : active_(TracingEnabled() || FlightRecorderEnabled()) {
-    if (active_) {
-      name_ = std::move(name);
-      cat_ = cat;
-      args_ = std::move(args_json);
-      start_ = NowNanos();
-    }
-  }
-  ~TraceSpan() {
-    if (active_) {
-      EmitCompleteSpan(std::move(name_), cat_, start_, NowNanos() - start_,
-                       std::move(args_));
-    }
-  }
+  explicit TraceSpan(const SpanSite& site, int64_t arg = 0)
+      : site_(site), arg_(arg), start_(NowNanos()) {}
+  TraceSpan(SpanSite&&, int64_t = 0) = delete;  // the site must outlive it
+  ~TraceSpan() { RecordSpan(site_, start_, NowNanos() - start_, arg_); }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  bool active_;
-  std::string name_;
-  const char* cat_ = "";
-  std::string args_;
-  int64_t start_ = 0;
+  const SpanSite& site_;
+  int64_t arg_;
+  int64_t start_;
 };
 
 }  // namespace missl::obs

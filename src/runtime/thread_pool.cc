@@ -70,7 +70,8 @@ void ThreadPool::WorkerLoop(int worker_index, uint64_t initial_gen) {
       queue_wait.Observe(obs::NowNanos() - publish_ns);
     }
     {
-      obs::TraceSpan run_span("pool.run", "runtime");
+      static constexpr obs::SpanSite kRunSpan{"pool.run", "runtime"};
+      obs::TraceSpan run_span(kRunSpan);
       for (int64_t c = participant; c < nchunks; c += stride) (*fn)(c);
     }
     chunk_counter.Add((nchunks - participant + stride - 1) / stride);
@@ -91,12 +92,8 @@ void ThreadPool::Run(int64_t nchunks, int participants,
     return;
   }
   std::lock_guard<std::mutex> job_lock(job_mu_);
-  std::string span_args;
-  if (obs::TracingEnabled()) {
-    span_args = "{\"chunks\":" + std::to_string(nchunks) +
-                ",\"participants\":" + std::to_string(participants) + "}";
-  }
-  obs::TraceSpan job_span("pool.job", "runtime", std::move(span_args));
+  static constexpr obs::SpanSite kJobSpan{"pool.job", "runtime", "chunks"};
+  obs::TraceSpan job_span(kJobSpan, nchunks);
   static obs::Counter& job_counter =
       obs::MetricsRegistry::Global().GetCounter("runtime.pool.jobs");
   static obs::Counter& total_chunks =

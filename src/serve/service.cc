@@ -340,11 +340,8 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
     metrics.queue_wait_ns.Observe(start_ns - p.enqueue_ns);
     metrics.stage_batch_ns.Observe(start_ns - p.enqueue_ns);
   }
-  obs::TraceSpan span(
-      "serve.batch", "serve",
-      obs::TracingEnabled()
-          ? "{\"size\":" + std::to_string(work->size()) + "}"
-          : std::string());
+  static constexpr obs::SpanSite kBatchSpan{"serve.batch", "serve", "size"};
+  obs::TraceSpan span(kBatchSpan, static_cast<int64_t>(work->size()));
 
   runtime::ScopedNumThreads threads_override(
       config_.num_threads > 0 ? config_.num_threads : runtime::NumThreads());

@@ -15,7 +15,6 @@
 
 #include "infer/plan.h"
 #include "obs/exposition.h"
-#include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
@@ -502,17 +501,19 @@ void TcpServer::AcceptAdminPending() {
 }
 
 void TcpServer::RefuseConnection(int fd, const std::string& reason) {
+  // Counted before the peer can see the refusal, so a client that has read
+  // its EOF also reads the refusal in connections_refused().
+  {
+    std::lock_guard<std::mutex> l(mu_);
+    ++refused_;
+  }
+  TcpMetrics::Get().refused.Add(1);
   std::string line = ErrorToJson(-1, reason) + "\n";
   // Best effort: the socket buffer of a fresh connection always has room for
   // one short line, and a peer that vanished mid-refusal loses nothing.
   ssize_t ignored = ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
   (void)ignored;
   ::close(fd);
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    ++refused_;
-  }
-  TcpMetrics::Get().refused.Add(1);
 }
 
 void TcpServer::HandleReadable(const std::shared_ptr<Conn>& conn) {
@@ -692,8 +693,7 @@ void TcpServer::HandleAdminRequest(const std::shared_ptr<Conn>& conn,
   } else if (path == "/statusz") {
     SendHttpResponse(conn, 200, "application/json", StatuszJson());
   } else if (path == "/tracez") {
-    SendHttpResponse(conn, 200, "application/json",
-                     obs::FlightRecorderToJson());
+    SendHttpResponse(conn, 200, "application/json", obs::TraceToJson());
   } else {
     AdminMetrics::Get().bad_requests.Add(1);
     SendHttpResponse(conn, 404, "text/plain", "not found\n");
@@ -794,10 +794,9 @@ std::string TcpServer::StatuszJson() const {
        << ",\"p50\":" << obs::SnapshotPercentile(h, 0.5)
        << ",\"p99\":" << obs::SnapshotPercentile(h, 0.99) << "}";
   }
-  ss << "},\"flight_recorder\":{\"enabled\":"
-     << (obs::FlightRecorderEnabled() ? "true" : "false")
-     << ",\"ring_capacity\":" << obs::FlightRingCapacity()
-     << ",\"recorded\":" << obs::FlightRecorderTotalRecorded() << "}}";
+  ss << "},\"flight_recorder\":{\"ring_capacity\":"
+     << obs::FlightRingCapacity()
+     << ",\"recorded\":" << obs::TraceSpansRecorded() << "}}";
   return ss.str();
 }
 

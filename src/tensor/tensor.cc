@@ -191,7 +191,8 @@ void Tensor::ZeroGrad() {
 void Tensor::Backward() {
   MISSL_CHECK(numel() == 1) << "Backward() requires a scalar loss; got "
                             << ShapeToString(shape());
-  obs::TraceSpan span("Tensor::Backward", "autograd");
+  static constexpr obs::SpanSite kBackwardSpan{"Tensor::Backward", "autograd"};
+  obs::TraceSpan span(kBackwardSpan);
   TensorImpl* root = impl();
   root->EnsureGrad();
   root->grad[0] += 1.0f;

@@ -75,9 +75,10 @@ TrainResult Fit(core::SeqRecModel* model, const data::Dataset& ds,
   }
   const bool tracing = !config.trace_path.empty();
   if (tracing) obs::StartTracing();
-  // Closed (so the "train.fit" span lands in the buffer) before WriteTrace.
+  // Closed (so the "train.fit" span lands in the ring) before WriteTrace.
+  static constexpr obs::SpanSite kFitSpan{"train.fit", "train"};
   std::optional<obs::TraceSpan> fit_span;
-  fit_span.emplace("train.fit", "train");
+  fit_span.emplace(kFitSpan);
   TelemetryWriter telemetry(config.telemetry_path);
 
   data::BatchBuilder builder(ds, config.max_len);
@@ -98,9 +99,8 @@ TrainResult Fit(core::SeqRecModel* model, const data::Dataset& ds,
 
   auto t0 = std::chrono::steady_clock::now();
   for (int64_t epoch = 0; epoch < config.max_epochs; ++epoch) {
-    obs::TraceSpan epoch_span(
-        "train.epoch", "train",
-        tracing ? "{\"epoch\":" + std::to_string(epoch) + "}" : std::string());
+    static constexpr obs::SpanSite kEpochSpan{"train.epoch", "train", "epoch"};
+    obs::TraceSpan epoch_span(kEpochSpan, epoch);
     obs::ResetPeakBytes();  // telemetry reports a per-epoch peak
     model->SetTraining(true);
     batcher.Reset();
@@ -111,7 +111,8 @@ TrainResult Fit(core::SeqRecModel* model, const data::Dataset& ds,
     int64_t examples = 0;
     auto epoch_t0 = std::chrono::steady_clock::now();
     {
-      obs::TraceSpan batches_span("train.batches", "train");
+      static constexpr obs::SpanSite kBatchesSpan{"train.batches", "train"};
+      obs::TraceSpan batches_span(kBatchesSpan);
       while (batcher.Next(&chunk)) {
         data::Batch batch = builder.Build(chunk);
         opt.ZeroGrad();
@@ -137,7 +138,8 @@ TrainResult Fit(core::SeqRecModel* model, const data::Dataset& ds,
 
     eval::EvalResult valid;
     {
-      obs::TraceSpan validate_span("train.validate", "train");
+      static constexpr obs::SpanSite kValidateSpan{"train.validate", "train"};
+      obs::TraceSpan validate_span(kValidateSpan);
       valid = evaluator.Evaluate(model, /*test=*/false);
     }
     if (config.verbose) {

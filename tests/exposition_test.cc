@@ -1,14 +1,16 @@
-// Tests for the exposition layer (obs/exposition.h) and the flight recorder
-// (obs/flight_recorder.h): Prometheus text validity (validated end-to-end
+// Tests for the exposition layer (obs/exposition.h) and the span store
+// (obs/trace.h): Prometheus text validity (validated end-to-end
 // through serve::ParsePrometheusText, the same strict parser the bench and
 // CI scrape checks use), name/label sanitization, snapshot JSON/delta/
-// percentile semantics, flight-recorder ring behavior (overwrite-oldest,
-// fixed capacity, clear, disabled no-op), and a concurrent
-// scrape-while-updating run that the TSan CI leg exercises for data races.
+// percentile semantics, ring behavior (overwrite-oldest at fixed capacity
+// outside a session, growth to the session bound with an overwritten count,
+// clear), and a concurrent scrape-while-updating run that the TSan CI leg
+// exercises for data races.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/exposition.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/loadgen.h"
@@ -32,20 +33,17 @@ namespace {
 using testutil::JVal;
 using testutil::ParseJsonOrFail;
 
-// Metrics are opt-in; the flight recorder's startup default depends on the
-// environment. Every test here pins both and restores the defaults so
-// cross-test state stays predictable.
+// Metrics are opt-in. Every test here turns them on, starts from empty
+// rings, and restores the defaults so cross-test state stays predictable.
 class ExpositionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     obs::SetMetricsEnabled(true);
-    obs::SetFlightRecorderEnabled(true);
-    obs::ClearFlightRecorder();
+    obs::ClearTrace();
   }
   void TearDown() override {
     obs::StopTracing();
-    obs::ClearFlightRecorder();
-    obs::SetFlightRecorderEnabled(true);
+    obs::ClearTrace();
     obs::SetMetricsEnabled(false);
   }
 };
@@ -301,7 +299,7 @@ TEST_F(ExpositionTest, BuildRevNonEmpty) {
   EXPECT_NE(std::string(obs::BuildRev()), "");
 }
 
-// ---- Flight recorder ------------------------------------------------------
+// ---- Span store ------------------------------------------------------------
 
 // Counts "ph":"X" events in a Chrome trace document and checks the fields
 // every event must carry.
@@ -324,65 +322,84 @@ int CountTraceEvents(const std::string& json, const std::string& what) {
   return static_cast<int>(events->arr.size());
 }
 
+// The dump's count of spans recorded since the last clear but overwritten.
+int64_t OverwrittenSpans(const std::string& json) {
+  JVal root = ParseJsonOrFail(json, "trace dump");
+  const JVal* other = root.Get("otherData");
+  if (other == nullptr || other->Get("overwritten_spans") == nullptr) {
+    ADD_FAILURE() << "dump has no otherData.overwritten_spans";
+    return -1;
+  }
+  return static_cast<int64_t>(other->Get("overwritten_spans")->num);
+}
+
+constexpr obs::SpanSite kTestSpan{"expo.span", "test", "i"};
+
 TEST_F(ExpositionTest, FlightRecorderCapacityClamp) {
   // Capacity is fixed at first use; whatever the environment says, the
   // clamp contract bounds it.
   EXPECT_GE(obs::FlightRingCapacity(), 64u);
-  EXPECT_LE(obs::FlightRingCapacity(), size_t{1} << 20);
+  EXPECT_LE(obs::FlightRingCapacity(), obs::kTraceSessionBound);
 }
 
 TEST_F(ExpositionTest, FlightRecorderRecordsAndDumps) {
-  const char* name = obs::InternedName("expo.flight.span");
-  EXPECT_EQ(name, obs::InternedName("expo.flight.span"))
-      << "interning must return stable pointers";
   for (int i = 0; i < 10; ++i) {
-    obs::FlightRecord(name, "test", 1000 + i * 10, 5);
+    obs::RecordSpan(kTestSpan, 1000 + i * 10, 5, i);
   }
-  EXPECT_EQ(obs::FlightRecorderTotalRecorded(), 10);
-  EXPECT_EQ(CountTraceEvents(obs::FlightRecorderToJson(), "flight dump"), 10);
+  EXPECT_EQ(obs::TraceSpansRecorded(), 10);
+  std::string json = obs::TraceToJson();
+  EXPECT_EQ(CountTraceEvents(json, "flight dump"), 10);
+  // Every slot resolves to its site's name, category and integer argument.
+  JVal root = ParseJsonOrFail(json, "flight dump");
+  int i = 0;
+  for (const JVal& e : root.Get("traceEvents")->arr) {
+    EXPECT_EQ(e.Get("name")->str, "expo.span");
+    EXPECT_EQ(e.Get("cat")->str, "test");
+    ASSERT_NE(e.Get("args"), nullptr);
+    ASSERT_NE(e.Get("args")->Get("i"), nullptr);
+    EXPECT_EQ(e.Get("args")->Get("i")->num, i++);
+  }
+  EXPECT_EQ(OverwrittenSpans(json), 0);
 }
 
 TEST_F(ExpositionTest, FlightRecorderOverwritesOldestAtFixedCapacity) {
-  const char* name = obs::InternedName("expo.flight.wrap");
+  // Outside a session a ring never grows: it keeps FlightRingCapacity()
+  // slots and overwrites its oldest span.
+  ASSERT_FALSE(obs::TracingEnabled());
   const int64_t cap = static_cast<int64_t>(obs::FlightRingCapacity());
   const int64_t total = cap + 100;
   for (int64_t i = 0; i < total; ++i) {
-    obs::FlightRecord(name, "test", i, 1);
+    obs::RecordSpan(kTestSpan, i, 1, i);
   }
   // Everything was counted, but only the newest `cap` records survive.
-  EXPECT_EQ(obs::FlightRecorderTotalRecorded(), total);
-  int dumped = CountTraceEvents(obs::FlightRecorderToJson(), "wrapped dump");
-  EXPECT_LE(dumped, cap);
-  EXPECT_GE(dumped, cap - 1);  // at most one slot lost to a dump mid-write
+  EXPECT_EQ(obs::TraceSpansRecorded(), total);
+  std::string json = obs::TraceToJson();
+  EXPECT_EQ(CountTraceEvents(json, "wrapped dump"), cap);
+  EXPECT_EQ(OverwrittenSpans(json), 100);
 }
 
 TEST_F(ExpositionTest, FlightRecorderClearEmptiesDump) {
-  obs::FlightRecord(obs::InternedName("expo.flight.gone"), "test", 1, 1);
-  EXPECT_GT(obs::FlightRecorderTotalRecorded(), 0);
-  obs::ClearFlightRecorder();
-  EXPECT_EQ(obs::FlightRecorderTotalRecorded(), 0);
-  EXPECT_EQ(CountTraceEvents(obs::FlightRecorderToJson(), "cleared dump"), 0);
-}
-
-TEST_F(ExpositionTest, FlightRecorderDisabledIsNoOp) {
-  obs::SetFlightRecorderEnabled(false);
-  obs::FlightRecord(obs::InternedName("expo.flight.off"), "test", 1, 1);
-  EXPECT_EQ(obs::FlightRecorderTotalRecorded(), 0);
+  obs::RecordSpan(kTestSpan, 1, 1);
+  EXPECT_GT(obs::TraceSpansRecorded(), 0);
+  obs::ClearTrace();
+  EXPECT_EQ(obs::TraceSpansRecorded(), 0);
+  EXPECT_EQ(CountTraceEvents(obs::TraceToJson(), "cleared dump"), 0);
 }
 
 TEST_F(ExpositionTest, TraceSpanLandsInRecorderWithoutStartTracing) {
   ASSERT_FALSE(obs::TracingEnabled());
-  { obs::TraceSpan span("expo.flight.auto", "test"); }
-  EXPECT_EQ(obs::FlightRecorderTotalRecorded(), 1);
-  std::string json = obs::FlightRecorderToJson();
+  static constexpr obs::SpanSite kAuto{"expo.flight.auto", "test"};
+  { obs::TraceSpan span(kAuto); }
+  EXPECT_EQ(obs::TraceSpansRecorded(), 1);
+  std::string json = obs::TraceToJson();
   EXPECT_EQ(CountTraceEvents(json, "span dump"), 1);
   EXPECT_NE(json.find("expo.flight.auto"), std::string::npos);
 }
 
-TEST_F(ExpositionTest, WriteFlightRecorderProducesValidFile) {
-  obs::FlightRecord(obs::InternedName("expo.flight.file"), "test", 1, 2);
+TEST_F(ExpositionTest, WriteTraceProducesValidFile) {
+  obs::RecordSpan(kTestSpan, 1, 2);
   std::string path = ::testing::TempDir() + "missl_flight_test.json";
-  ASSERT_TRUE(obs::WriteFlightRecorder(path).ok());
+  ASSERT_TRUE(obs::WriteTrace(path).ok());
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
@@ -391,57 +408,138 @@ TEST_F(ExpositionTest, WriteFlightRecorderProducesValidFile) {
   std::remove(path.c_str());
 }
 
+// A session grows one thread's ring up to kTraceSessionBound slots; past it
+// the oldest spans are overwritten and counted. The dump is streamed to a
+// file and scanned line by line (one event per line) rather than parsed.
+TEST_F(ExpositionTest, TraceSessionBoundKeepsNewestSpans) {
+  const int64_t bound = static_cast<int64_t>(obs::kTraceSessionBound);
+  constexpr int64_t kExtra = 37;
+  obs::StartTracing();
+  for (int64_t i = 0; i < bound + kExtra; ++i) {
+    obs::RecordSpan(kTestSpan, i * 1000, 1, i);  // ts == i microseconds
+  }
+  obs::StopTracing();
+  EXPECT_EQ(obs::TraceSpansRecorded(), bound + kExtra);
+
+  const std::string path = "exposition_test_session_bound.json";
+  ASSERT_TRUE(obs::WriteTrace(path).ok());
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open());
+  std::string line;
+  int64_t events = 0, first_ts = -1, last_ts = -1, overwritten = -1;
+  const std::string ts_key = "\"ts\":", ow_key = "\"overwritten_spans\":";
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"name\":\"expo.span\"", 0) == 0) {
+      size_t at = line.find(ts_key);
+      ASSERT_NE(at, std::string::npos) << line;
+      const int64_t ts = std::stoll(line.substr(at + ts_key.size()));
+      if (first_ts < 0) first_ts = ts;
+      EXPECT_EQ(ts, last_ts < 0 ? ts : last_ts + 1) << "spans out of order";
+      last_ts = ts;
+      ++events;
+    } else if (size_t at = line.find(ow_key); at != std::string::npos) {
+      overwritten = std::stoll(line.substr(at + ow_key.size()));
+    }
+  }
+  in.close();
+  std::remove(path.c_str());
+  EXPECT_EQ(events, bound);
+  EXPECT_EQ(first_ts, kExtra);
+  EXPECT_EQ(last_ts, bound + kExtra - 1);
+  EXPECT_EQ(overwritten, kExtra);
+
+  // Cleared outside a session, the grown ring returns to its base size.
+  obs::ClearTrace();
+  const int64_t cap = static_cast<int64_t>(obs::FlightRingCapacity());
+  for (int64_t i = 0; i <= cap; ++i) obs::RecordSpan(kTestSpan, i, 1, i);
+  std::string json = obs::TraceToJson();
+  EXPECT_EQ(CountTraceEvents(json, "after the session"), cap);
+  EXPECT_EQ(OverwrittenSpans(json), 1);
+}
+
 // ---- Concurrency ----------------------------------------------------------
 
 // Scrape-while-updating: worker threads hammer a counter, a histogram, and
-// the flight recorder while a scraper loops snapshot -> render -> parse and
-// dumps the recorder. The TSan CI leg runs this binary; any unsynchronized
-// access in the exposition path or the seqlock rings shows up here. Final
-// counts must be exact — scrapes never lose updates.
+// the span rings while a scraper loops snapshot -> render -> parse and
+// dumps the rings. Writers start on a latch the scraper releases and keep
+// writing until the scraper has finished a full round, so scrapes overlap
+// writes by construction. The second input opens a tracing session after
+// that first round: each writer then records kPerThread more spans, so its
+// ring grows while the scraper keeps dumping. The TSan CI leg runs this
+// binary; any unsynchronized access in the exposition path, the seqlock
+// rings or ring growth shows up here. Final counts must be exact — scrapes
+// never lose updates.
 TEST_F(ExpositionTest, ConcurrentScrapeWhileUpdating) {
   auto& reg = obs::MetricsRegistry::Global();
   obs::Counter& c = reg.GetCounter("expo.conc.counter");
   obs::Histogram& h = reg.GetHistogram("expo.conc.hist");
-  c.Reset();
-  h.Reset();
-
+  static constexpr obs::SpanSite kConcSpan{"expo.conc.span", "test"};
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 5000;
-  std::atomic<int> done{0};
+  constexpr int kPerThread = 5000;  // > the default ring, so sessions grow
 
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      const char* name = obs::InternedName("expo.conc.span");
-      for (int i = 0; i < kPerThread; ++i) {
-        c.Add();
-        h.Observe(t * 1000 + i);
-        obs::FlightRecord(name, "test", i, 1);
-      }
-      done.fetch_add(1);
-    });
+  for (bool open_session : {false, true}) {
+    SCOPED_TRACE(open_session ? "session opened mid-run" : "always-on rings");
+    c.Reset();
+    h.Reset();
+    obs::ClearTrace();
+    std::latch start(1);
+    std::atomic<int> rounds{0};
+    std::atomic<int> done{0};
+    std::vector<int64_t> writes(kThreads, 0);
+
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        int64_t i = 0;
+        auto write = [&] {
+          c.Add();
+          h.Observe(t * 1000 + i % 1000);
+          obs::RecordSpan(kConcSpan, i, 1);
+          ++i;
+        };
+        start.wait();
+        while (rounds.load() < 1) write();
+        for (int k = 0; k < kPerThread; ++k) write();
+        writes[t] = i;
+        done.fetch_add(1);
+      });
+    }
+
+    start.count_down();
+    int scrapes = 0;
+    while (done.load() < kThreads) {
+      std::string text = obs::PrometheusText(reg.Snapshot());
+      std::map<std::string, double> scalars;
+      std::map<std::string, serve::PromHistogram> histograms;
+      ASSERT_TRUE(serve::ParsePrometheusText(text, &scalars, &histograms))
+          << "mid-update scrape must still be well-formed";
+      ASSERT_GE(CountTraceEvents(obs::TraceToJson(), "live dump"), 0);
+      if (++scrapes == 1 && open_session) obs::StartTracing();
+      rounds.store(scrapes);
+    }
+    for (auto& w : workers) w.join();
+    obs::StopTracing();
+    EXPECT_GT(scrapes, 0);
+
+    int64_t total = 0;
+    for (int64_t n : writes) total += n;
+    obs::MetricsSnapshot final_snap = reg.Snapshot();
+    EXPECT_EQ(final_snap.counters["expo.conc.counter"], total);
+    EXPECT_EQ(final_snap.histograms["expo.conc.hist"].count, total);
+    if (!open_session) {
+      EXPECT_EQ(obs::TraceSpansRecorded(), total);
+      continue;
+    }
+    // The session kept every span recorded since it opened: at least the
+    // kPerThread each writer wrote after seeing it, none overwritten.
+    std::string json = obs::TraceToJson();
+    EXPECT_GE(obs::TraceSpansRecorded(),
+              static_cast<int64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(CountTraceEvents(json, "session dump"),
+              obs::TraceSpansRecorded());
+    EXPECT_EQ(OverwrittenSpans(json), 0);
   }
-
-  int scrapes = 0;
-  while (done.load() < kThreads) {
-    std::string text = obs::PrometheusText(reg.Snapshot());
-    std::map<std::string, double> scalars;
-    std::map<std::string, serve::PromHistogram> histograms;
-    ASSERT_TRUE(serve::ParsePrometheusText(text, &scalars, &histograms))
-        << "mid-update scrape must still be well-formed";
-    ASSERT_GE(CountTraceEvents(obs::FlightRecorderToJson(), "live dump"), 0);
-    ++scrapes;
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_GT(scrapes, 0);
-
-  obs::MetricsSnapshot final_snap = reg.Snapshot();
-  EXPECT_EQ(final_snap.counters["expo.conc.counter"], kThreads * kPerThread);
-  EXPECT_EQ(final_snap.histograms["expo.conc.hist"].count,
-            kThreads * kPerThread);
-  EXPECT_EQ(obs::FlightRecorderTotalRecorded(),
-            static_cast<int64_t>(kThreads) * kPerThread);
 }
 
 }  // namespace

@@ -239,42 +239,10 @@ std::vector<SpanRec> ExtractSpans(const JVal& root) {
   return spans;
 }
 
-TEST_F(ObsTest, TraceExportIsValidAndWellNested) {
-  runtime::ScopedNumThreads threads(2);
-  obs::StartTracing();
-  {
-    obs::TraceSpan outer("outer", "test", "{\"k\":1}");
-    {
-      obs::TraceSpan inner("inner", "test");
-      Rng rng(5);
-      Tensor a = Tensor::Randn({64, 64}, &rng);
-      NoGradGuard ng;
-      MatMul(a, a);  // fans out -> pool.job + pool.run spans
-    }
-  }
-  obs::StopTracing();
-  EXPECT_GT(obs::TraceEventCount(), 0u);
-
-  JVal root = ParseJsonOrFail(obs::TraceToJson(), "trace");
-  ASSERT_EQ(root.type, JVal::kObj);
-  ASSERT_NE(root.Get("traceEvents"), nullptr);
-  std::vector<SpanRec> spans = ExtractSpans(root);
-  ASSERT_GE(spans.size(), 3u);
-
-  auto has = [&](const char* name) {
-    for (const auto& s : spans) {
-      if (s.name == name) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has("outer"));
-  EXPECT_TRUE(has("inner"));
-  EXPECT_TRUE(has("MatMul"));
-  EXPECT_TRUE(has("pool.job"));
-
-  // Spans on one thread's track must nest: any two either don't overlap or
-  // one contains the other. RAII scopes guarantee this by construction; a
-  // violation means ts/dur bookkeeping is broken.
+// Spans on one thread's track must nest: any two either don't overlap or
+// one contains the other. RAII scopes guarantee this by construction; a
+// violation means ts/dur bookkeeping is broken.
+void ExpectNested(const std::vector<SpanRec>& spans) {
   for (size_t i = 0; i < spans.size(); ++i) {
     for (size_t j = i + 1; j < spans.size(); ++j) {
       const SpanRec& x = spans[i];
@@ -288,13 +256,65 @@ TEST_F(ObsTest, TraceExportIsValidAndWellNested) {
           << " [" << y.ts << ", " << y.end << ") on tid " << x.tid;
     }
   }
+}
 
-  // Disabled spans record nothing.
-  size_t count = obs::TraceEventCount();
-  { obs::TraceSpan ignored("ignored", "test"); }
-  EXPECT_EQ(obs::TraceEventCount(), count);
+// Records outer > inner > MatMul (which fans out to pool.job + pool.run)
+// and returns the dump's spans.
+std::vector<SpanRec> TraceNestedWork(const char* what) {
+  static constexpr obs::SpanSite kOuter{"outer", "test", "k"};
+  static constexpr obs::SpanSite kInner{"inner", "test"};
+  {
+    obs::TraceSpan outer(kOuter, 1);
+    {
+      obs::TraceSpan inner(kInner);
+      Rng rng(5);
+      Tensor a = Tensor::Randn({64, 64}, &rng);
+      NoGradGuard ng;
+      MatMul(a, a);
+    }
+  }
+  JVal root = ParseJsonOrFail(obs::TraceToJson(), what);
+  EXPECT_EQ(root.type, JVal::kObj);
+  EXPECT_NE(root.Get("traceEvents"), nullptr);
+  return ExtractSpans(root);
+}
+
+TEST_F(ObsTest, TraceExportIsValidAndWellNested) {
+  runtime::ScopedNumThreads threads(2);
+  auto has = [](const std::vector<SpanRec>& spans, const char* name) {
+    for (const auto& s : spans) {
+      if (s.name == name) return true;
+    }
+    return false;
+  };
+
+  obs::StartTracing();
+  std::vector<SpanRec> spans = TraceNestedWork("session trace");
+  obs::StopTracing();
+  EXPECT_GT(obs::TraceSpansRecorded(), 0);
+  ASSERT_GE(spans.size(), 3u);
+  EXPECT_TRUE(has(spans, "outer"));
+  EXPECT_TRUE(has(spans, "inner"));
+  EXPECT_TRUE(has(spans, "MatMul"));
+  EXPECT_TRUE(has(spans, "pool.job"));
+  ExpectNested(spans);
+
+  // Without a session the rings still record every TraceSpan, nested the
+  // same way, but no per-op kernel span.
   obs::ClearTrace();
-  EXPECT_EQ(obs::TraceEventCount(), 0u);
+  EXPECT_EQ(obs::TraceSpansRecorded(), 0);
+  spans = TraceNestedWork("recorder dump");
+  EXPECT_TRUE(has(spans, "outer"));
+  EXPECT_TRUE(has(spans, "inner"));
+  EXPECT_TRUE(has(spans, "pool.job"));
+  ExpectNested(spans);
+  JVal root = ParseJsonOrFail(obs::TraceToJson(), "recorder dump");
+  for (const JVal& e : root.Get("traceEvents")->arr) {
+    EXPECT_NE(e.Get("cat")->str, "tensor_op")
+        << e.Get("name")->str << " recorded outside a session";
+  }
+  obs::ClearTrace();
+  EXPECT_EQ(obs::TraceSpansRecorded(), 0);
 }
 
 TEST_F(ObsTest, TrainTelemetrySmoke) {
@@ -380,6 +400,9 @@ TEST_F(ObsTest, TrainTelemetrySmoke) {
   EXPECT_GT(count_named("MatMul"), 0);
   EXPECT_GT(count_named("pool.job"), 0);
   EXPECT_GT(count_named("pool.run"), 0);
+  // The session kept every span: none was overwritten.
+  ASSERT_NE(root.Get("otherData"), nullptr);
+  EXPECT_EQ(root.Get("otherData")->Get("overwritten_spans")->num, 0);
 
   std::remove(trace_path.c_str());
   std::remove(telemetry_path.c_str());
