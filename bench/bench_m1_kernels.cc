@@ -210,6 +210,54 @@ void BM_ElementwiseSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ElementwiseSimd)->Arg(0)->Arg(1);
 
+// Training backward on the tiers: Sum(op).Backward() with both inputs
+// requiring grad, forward included. Args = {shape, tier}; shape 0 is the
+// encoder Linear product [3840,32]x[32,32] (batch 128 x 30 positions), 1 the
+// full-catalog logits [128,32]x[32,1200].
+void BM_MatMulBackwardSimd(benchmark::State& state) {
+  static constexpr int64_t kShapes[][3] = {{3840, 32, 32}, {128, 32, 1200}};
+  const int64_t* s = kShapes[state.range(0)];
+  auto tier = static_cast<simd::Tier>(state.range(1));
+  if (SkipIfTierUnavailable(state, tier)) return;
+  simd::ScopedTier st(tier);
+  runtime::ScopedNumThreads nt(1);
+  Rng rng(6);
+  Tensor a = Tensor::Randn({s[0], s[1]}, &rng, 1.0f, true);
+  Tensor b = Tensor::Randn({s[1], s[2]}, &rng, 1.0f, true);
+  for (auto _ : state) {
+    Sum(MatMul(a, b)).Backward();
+    benchmark::DoNotOptimize(a.impl()->grad.data());
+    benchmark::DoNotOptimize(b.impl()->grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * s[0] * s[1] * s[2]);
+  state.SetLabel(std::string(simd::TierName(tier)) + " [" +
+                 std::to_string(s[0]) + "," + std::to_string(s[1]) + "]x[" +
+                 std::to_string(s[1]) + "," + std::to_string(s[2]) + "]");
+}
+BENCHMARK(BM_MatMulBackwardSimd)
+    ->Args({0, 0})->Args({0, 1})
+    ->Args({1, 0})->Args({1, 1});
+
+// The encoder bias add [128,30,32] + [32] through the broadcast row walk.
+void BM_BiasAddBackwardSimd(benchmark::State& state) {
+  auto tier = static_cast<simd::Tier>(state.range(0));
+  if (SkipIfTierUnavailable(state, tier)) return;
+  simd::ScopedTier st(tier);
+  runtime::ScopedNumThreads nt(1);
+  Rng rng(7);
+  Tensor x = Tensor::Randn({128, 30, 32}, &rng, 1.0f, true);
+  Tensor bias = Tensor::Randn({32}, &rng, 1.0f, true);
+  for (auto _ : state) {
+    Sum(Add(x, bias)).Backward();
+    benchmark::DoNotOptimize(x.impl()->grad.data());
+    benchmark::DoNotOptimize(bias.impl()->grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(simd::TierName(tier));
+}
+BENCHMARK(BM_BiasAddBackwardSimd)->Arg(0)->Arg(1);
+
 // Int8 catalog-dot kernel (docs/KERNELS.md §int8 tier): one activation row
 // against V item-major int8 catalog rows, int32 accumulate. Args = {V,
 // tier}; d fixed at the serving shape (32). Unlike the fp32 rows above the

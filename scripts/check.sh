@@ -16,8 +16,10 @@
 #      kernel_property_test, which sweeps the SIMD tiers at 1/2/4 threads,
 #      alloc_test, which stresses the pooled allocator's cross-thread
 #      free path, infer_test — the planned executor's tier × thread parity
-#      sweeps — and quant_test, the int8 catalog tier's kernel and
-#      executor parity suites)
+#      sweeps — quant_test, the int8 catalog tier's kernel and
+#      executor parity suites — and ops_test, whose OpsThreaded gradchecks
+#      run the matmul backward's per-chunk dA scratch tiles and dB row
+#      ranges, and the broadcast walk's parallel rows, at 4 threads)
 #   4. Documentation consistency (scripts/check_docs.sh)
 #
 # Usage:
@@ -78,7 +80,7 @@ run_tsan() {
   cmake --build build-check-tsan -j"$(nproc)" \
         --target runtime_test models_test serve_test tcp_server_test \
                  serve_fuzz_test exposition_test kernel_property_test \
-                 alloc_test infer_test quant_test
+                 alloc_test infer_test quant_test ops_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/runtime_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/models_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/serve_test
@@ -89,6 +91,7 @@ run_tsan() {
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/alloc_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/infer_test
   TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/quant_test
+  TSAN_OPTIONS=halt_on_error=1 MISSL_NUM_THREADS=4 ./build-check-tsan/tests/ops_test
 }
 
 run_docs() {

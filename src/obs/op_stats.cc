@@ -22,7 +22,9 @@ const OpStats& OpStats::Get(const char* name) {
     // never dangles even if the caller's string was temporary.
     it->second.reset(new OpStats{{it->first.c_str(), "tensor_op"},
                                  reg.GetCounter(base + ".calls"),
-                                 reg.GetCounter(base + ".nanos")});
+                                 reg.GetCounter(base + ".nanos"),
+                                 reg.GetCounter(base + ".backward.calls"),
+                                 reg.GetCounter(base + ".backward.nanos")});
   }
   return *it->second;
 }

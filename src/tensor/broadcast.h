@@ -4,7 +4,6 @@
 #define MISSL_TENSOR_BROADCAST_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.h"
 
@@ -13,40 +12,60 @@ namespace missl::internal {
 /// NumPy broadcast of two shapes; CHECKs compatibility.
 Shape BroadcastShape(const Shape& a, const Shape& b);
 
-/// Element strides of `in` when iterated under `out` (0 on broadcast dims).
-/// `in` is right-aligned to `out`'s rank.
-std::vector<int64_t> BroadcastStrides(const Shape& in, const Shape& out);
+/// The element walk of a broadcasting binary op out = f(a, b), one
+/// innermost row at a time. Output dims of extent 1 are dropped and adjacent
+/// dims are coalesced wherever both inputs stay dense (or stay broadcast)
+/// across them, so a row is the longest run of consecutive output elements
+/// along which each input either advances by one element (step 1) or
+/// repeats one element (step 0). Rows are visited in ascending output order,
+/// so a walk over all rows touches every element in flat order. Holds no
+/// heap memory: the outer dims live in fixed arrays.
+struct BroadcastRows {
+  static constexpr int kMaxDims = 8;
 
-/// Sums a gradient laid out in `out` shape down to `in` shape (summing the
-/// dimensions that were broadcast). Returns a buffer of NumElements(in).
-std::vector<float> ReduceGradTo(const float* g, const Shape& out, const Shape& in);
+  /// `out` must be BroadcastShape(a, b).
+  BroadcastRows(const Shape& out, const Shape& a, const Shape& b);
 
-/// Calls fn(out_index, a_offset, b_offset) for every element of `out`,
-/// where offsets follow the broadcast strides of the two inputs.
-template <typename Fn>
-void BroadcastIterate(const Shape& out, const Shape& a, const Shape& b, Fn&& fn) {
-  int64_t n = NumElements(out);
-  if (n == 0) return;
-  size_t rank = out.size();
-  std::vector<int64_t> sa = BroadcastStrides(a, out);
-  std::vector<int64_t> sb = BroadcastStrides(b, out);
-  std::vector<int64_t> idx(rank, 0);
-  int64_t oa = 0, ob = 0;
-  for (int64_t i = 0;;) {
-    fn(i, oa, ob);
-    if (++i == n) break;
-    // Odometer increment from the innermost dimension.
-    for (size_t d = rank; d-- > 0;) {
-      ++idx[d];
-      oa += sa[d];
-      ob += sb[d];
-      if (idx[d] < out[d]) break;
-      oa -= sa[d] * out[d];
-      ob -= sb[d] * out[d];
-      idx[d] = 0;
+  int64_t rows = 0;    ///< number of rows; 0 when `out` is empty
+  int64_t len = 1;     ///< elements per row
+  int64_t a_step = 1;  ///< 1 when a advances along a row, 0 when it repeats
+  int64_t b_step = 1;  ///< same for b
+
+  /// Calls fn(o, oa, ob) for rows [r0, r1) in order, where o is the row's
+  /// first output offset and oa/ob the matching a/b offsets: one odometer
+  /// step over the outer dims per row.
+  template <typename Fn>
+  void ForRows(int64_t r0, int64_t r1, Fn&& fn) const {
+    if (r0 >= r1) return;
+    int64_t idx[kMaxDims];
+    int64_t oa = 0, ob = 0;
+    int64_t r = r0;
+    for (int d = outer_ - 1; d >= 0; --d) {
+      idx[d] = r % dims_[d];
+      r /= dims_[d];
+      oa += idx[d] * a_strides_[d];
+      ob += idx[d] * b_strides_[d];
+    }
+    for (int64_t row = r0;;) {
+      fn(row * len, oa, ob);
+      if (++row == r1) break;
+      for (int d = outer_ - 1; d >= 0; --d) {
+        oa += a_strides_[d];
+        ob += b_strides_[d];
+        if (++idx[d] < dims_[d]) break;
+        oa -= a_strides_[d] * dims_[d];
+        ob -= b_strides_[d] * dims_[d];
+        idx[d] = 0;
+      }
     }
   }
-}
+
+ private:
+  int outer_ = 0;  ///< coalesced dims outside the row
+  int64_t dims_[kMaxDims] = {};
+  int64_t a_strides_[kMaxDims] = {};
+  int64_t b_strides_[kMaxDims] = {};
+};
 
 }  // namespace missl::internal
 

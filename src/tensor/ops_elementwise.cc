@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <functional>
 
@@ -10,19 +11,19 @@
 namespace missl {
 
 using internal::AttachGrad;
-using internal::BroadcastIterate;
+using internal::BroadcastRows;
 using internal::BroadcastShape;
 using internal::MakeResult;
-using internal::ReduceGradTo;
 
 namespace {
 
-// Optional vectorized row kernels for the same-shape fast paths. When set,
-// the ParallelFor chunk body hands its [i0, i1) slice to the kernel (which
-// dispatches on the active SIMD tier, see tensor/simd.h) instead of running
-// the scalar lambda. The kernel's scalar tier replays the lambda's exact
-// per-element operation sequence, so enabling a hook never changes results —
-// only which instructions produce them. Ops whose scalar backward sequence a
+// Optional vectorized row kernels for the same-shape fast paths and for
+// broadcast rows along which both inputs advance. When set, the op hands
+// its [i0, i1) slice or row to the kernel (which dispatches on the active
+// SIMD tier, see tensor/simd.h) instead of running the scalar lambda. The
+// kernel's scalar tier replays the lambda's exact per-element operation
+// sequence, so enabling a hook never changes results — only which
+// instructions produce them. Ops whose scalar backward sequence a
 // vector kernel cannot replay bit-for-bit (e.g. Relu's `0.0f * g` keeping
 // the sign of -0.0, Div's divide-then-multiply chain) simply leave the hook
 // unset and keep the scalar loop on every tier.
@@ -35,6 +36,81 @@ using UnaryRowKernel = std::function<void(const float*, float*, int64_t)>;
 using UnaryAccumKernel =
     std::function<void(const float*, const float*, const float*, float*,
                        int64_t)>;
+
+// Calls f(j, x, y) for j in [0, n) with x = a[j * a_step] and
+// y = b[j * b_step], holding an input that repeats along the row (step 0)
+// in a scalar.
+template <typename F>
+void ForRow(const float* a, int64_t a_step, const float* b, int64_t b_step,
+            int64_t n, F&& f) {
+  if (a_step == 0) {
+    const float x = *a;
+    for (int64_t j = 0; j < n; ++j) f(j, x, b[j]);
+  } else if (b_step == 0) {
+    const float y = *b;
+    for (int64_t j = 0; j < n; ++j) f(j, a[j], y);
+  } else {
+    for (int64_t j = 0; j < n; ++j) f(j, a[j], b[j]);
+  }
+}
+
+// Accumulates the gradient of input x (a when x_is_a, else b) of a
+// broadcast op, whose local partial is `d` (accumulate hook `vd`, or null).
+// Per element of x it replays the reference sequence: full = d * g at each
+// output element, red = 0 + the sum of those in ascending output order,
+// then grad += red. When no output element shares an element of x, red is
+// a zeroed row tile and rows run in parallel; otherwise red spans x, the
+// walk is serial, and each row adds its full values into red in place.
+template <typename D>
+void BroadcastGrad(const BroadcastRows& w, bool x_is_a, const Tensor& x,
+                   const float* pa, const float* pb, const float* g, D d,
+                   BinaryAccumKernel vd) {
+  x.impl()->EnsureGrad();
+  float* gx = x.impl()->grad.data();
+  const int64_t x_step = x_is_a ? w.a_step : w.b_step;
+  // red[j * x_step] += d(a_j, b_j) * g[j] for j in [0, n).
+  auto accum = [&](const float* arow, const float* brow, const float* grow,
+                   float* red, int64_t n) {
+    if (vd != nullptr && w.a_step == 1 && w.b_step == 1) {
+      return vd(arow, brow, grow, red, n);
+    }
+    if (x_step == 1) {
+      return ForRow(arow, w.a_step, brow, w.b_step, n,
+                    [&](int64_t j, float xv, float yv) {
+                      red[j] += d(xv, yv) * grow[j];
+                    });
+    }
+    float sum = *red;
+    ForRow(arow, w.a_step, brow, w.b_step, n,
+           [&](int64_t j, float xv, float yv) { sum += d(xv, yv) * grow[j]; });
+    *red = sum;
+  };
+  if (x.numel() == w.rows * w.len) {
+    // x is not reduced: its offsets are the output's.
+    constexpr int64_t kTile = 256;
+    runtime::ParallelFor(0, w.rows, runtime::GrainForCost(3 * w.len),
+                         [&](int64_t r0, int64_t r1) {
+      alignas(32) float red[kTile];
+      w.ForRows(r0, r1, [&](int64_t o, int64_t ia, int64_t ib) {
+        for (int64_t j = 0; j < w.len; j += kTile) {
+          const int64_t n = std::min(kTile, w.len - j);
+          std::fill(red, red + n, 0.0f);
+          accum(pa + ia + j * w.a_step, pb + ib + j * w.b_step, g + o + j,
+                red, n);
+          simd::AccumRow(red, gx + o + j, n);
+        }
+      });
+    });
+    return;
+  }
+  Storage red;
+  red.assign(x.numel(), 0.0f);
+  float* pr = red.data();
+  w.ForRows(0, w.rows, [&](int64_t o, int64_t ia, int64_t ib) {
+    accum(pa + ia, pb + ib, g + o, pr + (x_is_a ? ia : ib), w.len);
+  });
+  simd::AccumRow(pr, gx, x.numel());
+}
 
 // Generic broadcasting binary op. `fwd(x, y)` computes the value;
 // `dfdx(x, y)` / `dfdy(x, y)` compute local partials at the element.
@@ -63,10 +139,17 @@ Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, F fwd,
       for (int64_t i = i0; i < i1; ++i) po[i] = fwd(pa[i], pb[i]);
     });
   } else {
-    // The broadcast walk is a stateful iterator; it stays serial (broadcast
-    // operands are small — biases, masks — so this path is never hot).
-    BroadcastIterate(so, sa, sb, [&](int64_t i, int64_t ia, int64_t ib) {
-      po[i] = fwd(pa[ia], pb[ib]);
+    // Broadcast: one odometer step per row; rows are independent outputs.
+    const BroadcastRows w(so, sa, sb);
+    runtime::ParallelFor(0, w.rows, runtime::GrainForCost(w.len),
+                         [&](int64_t r0, int64_t r1) {
+      w.ForRows(r0, r1, [&](int64_t o, int64_t ia, int64_t ib) {
+        if (vfwd != nullptr && w.a_step == 1 && w.b_step == 1) {
+          return vfwd(pa + ia, pb + ib, po + o, w.len);
+        }
+        ForRow(pa + ia, w.a_step, pb + ib, w.b_step, w.len,
+               [&](int64_t j, float x, float y) { po[o + j] = fwd(x, y); });
+      });
     });
   }
   AttachGrad(&out, {a, b},
@@ -105,23 +188,9 @@ Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, F fwd,
       }
       return;
     }
-    int64_t n = out.numel();
-    if (need_a) {
-      std::vector<float> full(static_cast<size_t>(n));
-      BroadcastIterate(so, sa, sb, [&](int64_t i, int64_t ia, int64_t ib) {
-        full[static_cast<size_t>(i)] = dfdx(pa[ia], pb[ib]) * g[i];
-      });
-      std::vector<float> red = ReduceGradTo(full.data(), so, sa);
-      a.impl()->AccumGrad(red.data(), static_cast<int64_t>(red.size()));
-    }
-    if (need_b) {
-      std::vector<float> full(static_cast<size_t>(n));
-      BroadcastIterate(so, sa, sb, [&](int64_t i, int64_t ia, int64_t ib) {
-        full[static_cast<size_t>(i)] = dfdy(pa[ia], pb[ib]) * g[i];
-      });
-      std::vector<float> red = ReduceGradTo(full.data(), so, sb);
-      b.impl()->AccumGrad(red.data(), static_cast<int64_t>(red.size()));
-    }
+    const BroadcastRows w(so, sa, sb);
+    if (need_a) BroadcastGrad(w, /*x_is_a=*/true, a, pa, pb, g, dfdx, vdx);
+    if (need_b) BroadcastGrad(w, /*x_is_a=*/false, b, pa, pb, g, dfdy, vdy);
   });
   return out;
 }

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstring>
 
 #include "obs/op_stats.h"
@@ -15,6 +16,38 @@ using internal::MakeResult;
 // tier — ikj ordering keeps the inner loop contiguous, and each call writes
 // only its own output rows, so row ranges parallelize without changing any
 // result bit (see runtime/parallel_for.h).
+
+namespace {
+
+// Rows per chunk of a backward GemmRows pass: at least the cost grain, and
+// about two chunks per thread at most, so each call's B-tile packing
+// amortizes over many rows. Any grain gives the same bits.
+int64_t GemmGrain(int64_t rows, int64_t cost_per_row) {
+  return std::max(runtime::GrainForCost(cost_per_row),
+                  runtime::GrainForChunks(rows, 2));
+}
+
+// The width of dA's scratch rows for a k-wide dA. GemmRows sweeps 32-column
+// blocks in row pairs (eight independent add chains) but a narrower tail
+// one row at a time, each 8-lane vector or scalar column one chain as long
+// as the contraction. So a narrow dA runs as one whole vector or one whole
+// block; the pad columns never touch a real cell's chain.
+int64_t PaddedWidth(int64_t k) { return k <= 8 ? 8 : k < 32 ? 32 : k; }
+
+// dst[c * ldd + r] = src[r * lds + c] for r in [0, rows), c in [0, cols).
+// Walks 16-row blocks so the strided side of the copy stays in L1.
+void TransposeInto(const float* src, int64_t lds, float* dst, int64_t ldd,
+                   int64_t rows, int64_t cols) {
+  constexpr int64_t kBlock = 16;
+  for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const int64_t r1 = std::min(r0 + kBlock, rows);
+    for (int64_t c = 0; c < cols; ++c) {
+      for (int64_t r = r0; r < r1; ++r) dst[c * ldd + r] = src[r * lds + c];
+    }
+  }
+}
+
+}  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   MISSL_OP_SCOPE("MatMul");
@@ -61,52 +94,82 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     const float* g = out.impl()->grad.data();
     const float* pa = a.data();
     const float* pb = b.data();
+    // A shared B is one slab under all batch*m rows; a batched B has one
+    // slab per batch entry. Both gradients are GemmRows passes per slab.
+    const int64_t slabs = b_batched ? batch : 1;
+    const int64_t rows = b_batched ? m : batch * m;  // A/g rows per slab
     if (a.requires_grad()) {
+      // dA = g * B^T. Each dA cell is the chain `acc = 0; acc += g[i,j] *
+      // B[kk,j]` over ascending j, then `dA += acc`: GemmRows computes the
+      // chain into zeroed scratch rows (skipping g == 0 terms, as the
+      // forward skips a == 0), and AccumRow adds them. Each chunk owns its
+      // dA rows, so the partition cannot change a bit.
       a.impl()->EnsureGrad();
       float* ga = a.impl()->grad.data();
-      // dA[i,kk] += sum_j g[i,j] * B[kk,j] — each dA row is owned by one
-      // chunk, so rows parallelize with bitwise-stable results.
+      // Scratch rows are kp wide: B^T's zero pad columns keep GemmRows on
+      // whole vectors, and the pad cells are never read. Each chunk packs
+      // the B^T of the slab it is in and fills one cache-resident scratch
+      // tile of dA rows at a time.
+      const int64_t kp = PaddedWidth(k);
+      const int64_t tile = std::max<int64_t>(1, 4096 / kp);
       runtime::ParallelFor(
-          0, batch * m, runtime::GrainForCost(2 * k * n),
+          0, batch * m, GemmGrain(batch * m, 2 * k * n),
           [&](int64_t r0, int64_t r1) {
-            for (int64_t r = r0; r < r1; ++r) {
-              int64_t s = r / m;
-              const float* bs = pb + (b_batched ? s * k * n : 0);
-              const float* grow = g + r * n;
-              float* garow = ga + r * k;
-              for (int64_t kk = 0; kk < k; ++kk) {
-                const float* brow = bs + kk * n;
-                float acc = 0.0f;
-                for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
-                garow[kk] += acc;
+            Storage bt, scratch;
+            bt.assign(n * kp, 0.0f);  // [n, kp]
+            scratch.allocate_uninitialized(std::min(tile, r1 - r0) * kp);
+            float* c = scratch.data();
+            int64_t packed = -1;  // the slab whose B^T is in bt
+            for (int64_t t0 = r0; t0 < r1;) {
+              const int64_t s = t0 / rows;
+              const int64_t t1 = std::min({t0 + tile, r1, (s + 1) * rows});
+              if (s != packed) {
+                TransposeInto(pb + s * k * n, n, bt.data(), kp, k, n);
+                packed = s;
               }
+              std::fill(c, c + (t1 - t0) * kp, 0.0f);
+              simd::GemmRows(g + t0 * n, bt.data(), c, n, kp, kp, kp, 0,
+                             t1 - t0);
+              if (kp == k) {
+                simd::AccumRow(c, ga + t0 * k, (t1 - t0) * k);
+              } else {
+                for (int64_t r = t0; r < t1; ++r) {
+                  simd::AccumRow(c + (r - t0) * kp, ga + r * k, k);
+                }
+              }
+              t0 = t1;
             }
           });
     }
     if (b.requires_grad()) {
+      // dB = A^T * g, accumulated straight into b.grad: each dB cell gets
+      // `dB += A[i,kk] * g[i,j]` over the slab's rows i in ascending order,
+      // skipping A == 0 — for a shared B the rows are the flattened (s, i)
+      // pairs, the serial order. Chunks own dB rows (slab, kk). The
+      // contraction runs in tiles of kSpan rows, each a GemmRows call on
+      // the chunk's packed A^T tile that picks up the cells where the last
+      // one stored them, so the chain per cell is unchanged.
       b.impl()->EnsureGrad();
       float* gb = b.impl()->grad.data();
-      // dB[kk,j] += sum_i A[i,kk] * g[i,j]; when B is shared across the
-      // batch, contributions also sum over s. Owner-computes over kk: the
-      // chunk owning kk accumulates all of row kk's contributions in the
-      // serial (s, i) order, so duplicate accumulation never races and the
-      // sum order matches the serial path exactly.
+      constexpr int64_t kSpan = 256;
       runtime::ParallelFor(
-          0, k, runtime::GrainForCost(2 * batch * m * n),
-          [&](int64_t k0, int64_t k1) {
-            for (int64_t s = 0; s < batch; ++s) {
-              const float* as = pa + s * m * k;
-              const float* gs = g + s * m * n;
-              float* gbs = gb + (b_batched ? s * k * n : 0);
-              for (int64_t i = 0; i < m; ++i) {
-                const float* arow = as + i * k;
-                const float* grow = gs + i * n;
-                for (int64_t kk = k0; kk < k1; ++kk) {
-                  float av = arow[kk];
-                  if (av == 0.0f) continue;
-                  simd::AxpyRow(av, grow, gbs + kk * n, n);
-                }
+          0, slabs * k, GemmGrain(slabs * k, 2 * rows * n),
+          [&](int64_t r0, int64_t r1) {
+            Storage at;  // A^T tile, [dB rows, span]
+            at.allocate_uninitialized(std::min(r1 - r0, k) *
+                                      std::min(rows, kSpan));
+            for (int64_t r = r0; r < r1;) {
+              const int64_t s = r / k;
+              const int64_t end = std::min((s + 1) * k, r1);
+              for (int64_t i0 = 0; i0 < rows; i0 += kSpan) {
+                const int64_t span = std::min(kSpan, rows - i0);
+                const int64_t i = s * rows + i0;  // first A/g row of the tile
+                TransposeInto(pa + i * k + (r - s * k), k, at.data(), span,
+                              span, end - r);
+                simd::GemmRows(at.data(), g + i * n, gb + r * n, span, n, n,
+                               n, 0, end - r);
               }
+              r = end;
             }
           });
     }
@@ -126,10 +189,7 @@ Tensor Transpose(const Tensor& a) {
   const float* pa = a.data();
   float* po = out.data();
   for (int64_t s = 0; s < batch; ++s) {
-    const float* as = pa + s * m * n;
-    float* os = po + s * m * n;
-    for (int64_t i = 0; i < m; ++i)
-      for (int64_t j = 0; j < n; ++j) os[j * m + i] = as[i * n + j];
+    TransposeInto(pa + s * m * n, n, po + s * m * n, m, m, n);
   }
   AttachGrad(&out, {a}, [a, out = TensorRef(out), batch, m, n]() {
     const float* g = out.impl()->grad.data();

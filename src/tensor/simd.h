@@ -130,7 +130,7 @@ void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n);
 /// returns the same index.
 int64_t FindFirstGreater(const float* x, int64_t n, float thr);
 
-/// y[j] += s * x[j]. The matmul dB accumulation row.
+/// y[j] += s * x[j]. The MulScalar backward row.
 void AxpyRow(float s, const float* x, float* y, int64_t n);
 
 /// o[i] = a[i] + b[i] / a[i] - b[i] / a[i] * b[i] / a[i] / b[i].

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "obs/memory.h"
+#include "obs/op_stats.h"
 #include "obs/trace.h"
 
 namespace missl {
@@ -219,9 +220,18 @@ void Tensor::Backward() {
   }
   // topo is post-order: parents appear before children; iterate in reverse so
   // each node's grad is complete before it propagates to its parents.
+  // With metrics on, each closure is timed into its op's backward counters.
+  const bool timed = obs::MetricsEnabled();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     TensorImpl* node = *it;
-    if (node->backward_fn && !node->grad.empty()) node->backward_fn();
+    if (!node->backward_fn || node->grad.empty()) continue;
+    const obs::OpStats* op = timed ? node->op : nullptr;
+    const int64_t t0 = op != nullptr ? obs::NowNanos() : 0;
+    node->backward_fn();
+    if (op != nullptr) {
+      op->backward_calls.Add(1);
+      op->backward_nanos.Add(obs::NowNanos() - t0);
+    }
   }
   // Release the graph so intermediate buffers can be freed.
   for (TensorImpl* node : topo) {
@@ -280,6 +290,7 @@ bool AttachGrad(Tensor* out, std::vector<Tensor> parents,
     if (p.defined()) o->parents.push_back(p.impl_ptr());
   }
   o->backward_fn = std::move(backward);
+  o->op = obs::t_current_op;
   obs::memory_internal::AddAutogradNodes(1);
   return true;
 }

@@ -26,6 +26,10 @@
 
 namespace missl {
 
+namespace obs {
+struct OpStats;
+}  // namespace obs
+
 class TensorImpl;
 using TensorImplPtr = std::shared_ptr<TensorImpl>;
 
@@ -60,6 +64,9 @@ class TensorImpl {
   /// owning reference to this impl (see TensorRef) or the node would keep
   /// itself alive forever.
   std::function<void()> backward_fn;
+  /// The op that attached backward_fn (the OpScope open at AttachGrad), for
+  /// per-op backward metrics; null when attached outside any op scope.
+  const obs::OpStats* op = nullptr;
 
   int64_t numel() const { return static_cast<int64_t>(data.size()); }
   /// True when the buffer is a dense row-major layout of `shape`, i.e. the

@@ -24,6 +24,7 @@
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "tensor/alloc.h"
+#include "tensor/broadcast.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
 #include "tensor/tensor.h"
@@ -185,8 +186,9 @@ TEST(KernelPropertyTest, ElementwiseBinarySweep) {
   }
 }
 
-// The broadcast (different-shape) path has no vector kernel; it must still
-// agree with itself across tiers and threads (i.e. stay untouched).
+// The broadcast (different-shape) path runs the row kernels on rows along
+// which both inputs advance; it must agree with itself across tiers and
+// threads (BackwardOracle* below pin it to the per-element reference).
 TEST(KernelPropertyTest, ElementwiseBroadcastSweep) {
   Rng rng;
   rng.Seed(202);
@@ -381,6 +383,284 @@ TEST(KernelPropertyTest, CrossEntropySweep) {
               return CrossEntropyLoss(in[0], targets);
             },
             {logits}, {{bsz, c}});
+  }
+}
+
+// ---- Backward oracles -------------------------------------------------------
+
+// The MatMul backward and the broadcast walk as they were before both moved
+// onto the row kernels — the per-cell scalar dA dot, the per-(s, i, kk) dB
+// row update, and the per-element odometer with its ReduceGradTo — kept here
+// as the reference. The rewritten paths must reproduce them bit for bit on
+// every tier and thread count, accumulating into pre-existing gradients.
+
+// Forward reference: GemmRows' contract, ascending k with the a == 0 skip.
+void RefMatMul(const float* pa, const float* pb, float* po, int64_t batch,
+               int64_t m, int64_t k, int64_t n, bool b_batched) {
+  for (int64_t s = 0; s < batch; ++s) {
+    const float* bs = pb + (b_batched ? s * k * n : 0);
+    for (int64_t i = 0; i < m; ++i) {
+      const float* arow = pa + (s * m + i) * k;
+      float* orow = po + (s * m + i) * n;
+      for (int64_t j = 0; j < n; ++j) orow[j] = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        float av = arow[kk];
+        if (av == 0.0f) continue;
+        for (int64_t j = 0; j < n; ++j) orow[j] += av * bs[kk * n + j];
+      }
+    }
+  }
+}
+
+void RefMatMulBackward(const float* pa, const float* pb, const float* g,
+                       float* ga, float* gb, int64_t batch, int64_t m,
+                       int64_t k, int64_t n, bool b_batched) {
+  for (int64_t r = 0; r < batch * m; ++r) {
+    int64_t s = r / m;
+    const float* bs = pb + (b_batched ? s * k * n : 0);
+    const float* grow = g + r * n;
+    float* garow = ga + r * k;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float* brow = bs + kk * n;
+      float acc = 0.0f;
+      for (int64_t j = 0; j < n; ++j) acc += grow[j] * brow[j];
+      garow[kk] += acc;
+    }
+  }
+  for (int64_t s = 0; s < batch; ++s) {
+    const float* as = pa + s * m * k;
+    const float* gs = g + s * m * n;
+    float* gbs = gb + (b_batched ? s * k * n : 0);
+    for (int64_t i = 0; i < m; ++i) {
+      const float* arow = as + i * k;
+      const float* grow = gs + i * n;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        float av = arow[kk];
+        if (av == 0.0f) continue;
+        for (int64_t j = 0; j < n; ++j) gbs[kk * n + j] += av * grow[j];
+      }
+    }
+  }
+}
+
+std::vector<int64_t> RefBroadcastStrides(const Shape& in, const Shape& out) {
+  size_t r = out.size(), ri = in.size();
+  std::vector<int64_t> strides(r, 0);
+  int64_t s = 1;
+  for (size_t i = 0; i < ri; ++i) {
+    size_t din = ri - 1 - i;
+    size_t dout = r - 1 - i;
+    strides[dout] = in[din] == out[dout] ? s : 0;
+    s *= in[din];
+  }
+  return strides;
+}
+
+// fn(out_index, a_offset, b_offset) for every element of `out`.
+template <typename Fn>
+void RefBroadcastIterate(const Shape& out, const Shape& a, const Shape& b,
+                         Fn&& fn) {
+  int64_t n = NumElements(out);
+  if (n == 0) return;
+  size_t rank = out.size();
+  std::vector<int64_t> sa = RefBroadcastStrides(a, out);
+  std::vector<int64_t> sb = RefBroadcastStrides(b, out);
+  std::vector<int64_t> idx(rank, 0);
+  int64_t oa = 0, ob = 0;
+  for (int64_t i = 0;;) {
+    fn(i, oa, ob);
+    if (++i == n) break;
+    for (size_t d = rank; d-- > 0;) {
+      ++idx[d];
+      oa += sa[d];
+      ob += sb[d];
+      if (idx[d] < out[d]) break;
+      oa -= sa[d] * out[d];
+      ob -= sb[d] * out[d];
+      idx[d] = 0;
+    }
+  }
+}
+
+std::vector<float> RefReduceGradTo(const float* g, const Shape& out,
+                                   const Shape& in) {
+  std::vector<float> r(static_cast<size_t>(NumElements(in)), 0.0f);
+  RefBroadcastIterate(out, in, in, [&](int64_t i, int64_t oin, int64_t) {
+    r[static_cast<size_t>(oin)] += g[i];
+  });
+  return r;
+}
+
+struct RefBinary {
+  const char* name;
+  Tensor (*op)(const Tensor&, const Tensor&);
+  float (*f)(float, float);
+  float (*dx)(float, float);
+  float (*dy)(float, float);
+};
+
+const RefBinary kRefBinaries[] = {
+    {"Add", Add, [](float x, float y) { return x + y; },
+     [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; }},
+    {"Sub", Sub, [](float x, float y) { return x - y; },
+     [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; }},
+    {"Mul", Mul, [](float x, float y) { return x * y; },
+     [](float, float y) { return y; }, [](float x, float) { return x; }},
+    {"Div", Div, [](float x, float y) { return x / y; },
+     [](float, float y) { return 1.0f / y; },
+     [](float x, float y) { return -x / (y * y); }},
+};
+
+// One input of an oracle case: values plus the gradient already sitting in
+// its buffer before Backward accumulates into it. A fifth of that gradient
+// is -0.0, the one value for which `grad += 0 + x` and `grad += x` differ
+// (at x = -0.0), so a path that drops the reference's zero-started partial
+// sum shows.
+struct OracleInput {
+  std::vector<float> data, grad;
+  Shape shape;
+};
+
+OracleInput MakeOracleInput(Shape shape, Rng* rng, float zero_frac) {
+  const int64_t n = NumElements(shape);
+  std::vector<float> grad = RandomData(n, rng, 0.2f);
+  for (float& x : grad) x = x == 0.0f ? -0.0f : x;
+  return {RandomData(n, rng, zero_frac), std::move(grad), std::move(shape)};
+}
+
+// Runs op(a, b) under every tier x {1, 2, 4} threads with g = the upstream
+// gradient (delivered as the weights of Sum(Mul(out, g))) and pre-filled
+// input gradients; the output and both gradients must equal `want_*`.
+void ExpectMatchesOracle(const std::string& name,
+                         Tensor (*op)(const Tensor&, const Tensor&),
+                         const OracleInput& a, const OracleInput& b,
+                         const std::vector<float>& g,
+                         const std::vector<float>& want_out,
+                         const std::vector<float>& want_ga,
+                         const std::vector<float>& want_gb) {
+  for (Tier tier : TiersToTest()) {
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(name + " tier=" + simd::TierName(tier) +
+                   " threads=" + std::to_string(threads));
+      simd::ScopedTier st(tier);
+      runtime::ScopedNumThreads snt(threads);
+      Tensor ta = Tensor::FromData(a.data, a.shape, true);
+      Tensor tb = Tensor::FromData(b.data, b.shape, true);
+      ta.impl()->EnsureGrad();
+      ta.impl()->grad.copy_from(a.grad.data(), ta.numel());
+      tb.impl()->EnsureGrad();
+      tb.impl()->grad.copy_from(b.grad.data(), tb.numel());
+      Tensor out = op(ta, tb);
+      Sum(Mul(out, Tensor::FromData(g, out.shape()))).Backward();
+      ExpectBitwise(want_out, out.ToVector(), "forward");
+      ExpectBitwise(want_ga, ta.impl()->grad.ToVector(), "grad of a");
+      ExpectBitwise(want_gb, tb.impl()->grad.ToVector(), "grad of b");
+    }
+  }
+}
+
+// Shared and batched B; n and k below, at and above 32 and off multiples of
+// 8; m = 1; enough rows for several chunks at 4 threads, and contractions
+// longer than one dB tile of 256 rows. A is 20% exact zeros (the dB skip)
+// and g 50% (the dA skip).
+TEST(KernelPropertyTest, BackwardOracleMatMul) {
+  Rng rng(1001);
+  struct Dims {
+    int64_t batch, m, k, n;
+  };
+  const Dims dims[] = {{1, 1, 5, 7},   {1, 1, 32, 32}, {1, 6, 33, 45},
+                       {2, 3, 31, 70}, {3, 1, 40, 13}, {2, 9, 67, 33},
+                       {4, 17, 12, 100}, {8, 30, 32, 32}, {2, 64, 32, 3},
+                       {3, 100, 10, 36}, {1, 600, 4, 20}};
+  for (const Dims& d : dims) {
+    for (int form = 0; form < 3; ++form) {  // 2-D, shared B, batched B
+      if (form == 0 && d.batch != 1) continue;
+      const bool b_batched = form == 2;
+      const Shape sa = form == 0 ? Shape{d.m, d.k} : Shape{d.batch, d.m, d.k};
+      const Shape sb =
+          b_batched ? Shape{d.batch, d.k, d.n} : Shape{d.k, d.n};
+      OracleInput a = MakeOracleInput(sa, &rng, 0.2f);
+      OracleInput b = MakeOracleInput(sb, &rng, 0.0f);
+      std::vector<float> g = RandomData(d.batch * d.m * d.n, &rng, 0.5f);
+      std::vector<float> out(g.size()), ga = a.grad, gb = b.grad;
+      RefMatMul(a.data.data(), b.data.data(), out.data(), d.batch, d.m, d.k,
+                d.n, b_batched);
+      RefMatMulBackward(a.data.data(), b.data.data(), g.data(), ga.data(),
+                        gb.data(), d.batch, d.m, d.k, d.n, b_batched);
+      ExpectMatchesOracle("MatMul " + ShapeToString(sa) + " x " +
+                              ShapeToString(sb),
+                          MatMul, a, b, g, out, ga, gb);
+    }
+  }
+}
+
+// The broadcast shapes the models use — bias rows, a leading 1, the bias on
+// the left, a key mask over the middle axis, a per-position scale — at row
+// lengths below and above one vector, off multiples of 8, and longer than
+// the 256-float gradient tile.
+TEST(KernelPropertyTest, BackwardOracleBroadcast) {
+  Rng rng(1002);
+  std::vector<std::pair<Shape, Shape>> cases;
+  for (int64_t d : {5, 32, 300}) {
+    const int64_t bt = 3, t = 4;
+    cases.push_back({{bt, t, d}, {d}});
+    cases.push_back({{bt, t, d}, {1, d}});
+    cases.push_back({{d}, {bt, t, d}});
+    cases.push_back({{bt, t, d}, {bt, t, 1}});
+  }
+  for (int64_t t : {5, 9, 40}) cases.push_back({{2, t, t}, {2, 1, t}});
+  for (const auto& [sa, sb] : cases) {
+    const Shape so = internal::BroadcastShape(sa, sb);
+    const int64_t n = NumElements(so);
+    OracleInput a = MakeOracleInput(sa, &rng, 0.1f);
+    OracleInput b = MakeOracleInput(sb, &rng, 0.0f);
+    // Keep divisors away from zero so Div stays finite.
+    for (float& y : b.data) y = y < 0.0f ? y - 0.5f : y + 0.5f;
+    std::vector<float> g = RandomData(n, &rng, 0.5f);
+    for (const RefBinary& op : kRefBinaries) {
+      std::vector<float> out(static_cast<size_t>(n)), full(out.size());
+      RefBroadcastIterate(so, sa, sb, [&](int64_t i, int64_t ia, int64_t ib) {
+        out[i] = op.f(a.data[ia], b.data[ib]);
+      });
+      std::vector<float> ga = a.grad, gb = b.grad;
+      RefBroadcastIterate(so, sa, sb, [&](int64_t i, int64_t ia, int64_t ib) {
+        full[i] = op.dx(a.data[ia], b.data[ib]) * g[i];
+      });
+      std::vector<float> red = RefReduceGradTo(full.data(), so, sa);
+      for (size_t e = 0; e < red.size(); ++e) ga[e] += red[e];
+      RefBroadcastIterate(so, sa, sb, [&](int64_t i, int64_t ia, int64_t ib) {
+        full[i] = op.dy(a.data[ia], b.data[ib]) * g[i];
+      });
+      red = RefReduceGradTo(full.data(), so, sb);
+      for (size_t e = 0; e < red.size(); ++e) gb[e] += red[e];
+      ExpectMatchesOracle(std::string(op.name) + " " + ShapeToString(sa) +
+                              " with " + ShapeToString(sb),
+                          op.op, a, b, g, out, ga, gb);
+    }
+  }
+}
+
+// The one intended change against the reference: dA skips g == 0 terms, as
+// the forward skips a == 0, so a zero gradient no longer turns an inf or NaN
+// of B into a NaN of dA (0 * inf was NaN under the old dot product).
+TEST(KernelPropertyTest, MatMulBackwardSkipsZeroGradientTerms) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (Tier tier : TiersToTest()) {
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(std::string("tier=") + simd::TierName(tier) +
+                   " threads=" + std::to_string(threads));
+      simd::ScopedTier st(tier);
+      runtime::ScopedNumThreads snt(threads);
+      Tensor a = Tensor::FromData({1.0f, 1.0f}, {1, 2}, true);
+      Tensor b = Tensor::FromData({1.0f, inf, 2.0f, nan}, {2, 2}, true);
+      // g = [1, 0]: column 1, where B holds inf and NaN, gets no gradient.
+      Sum(Mul(MatMul(a, b), Tensor::FromData({1.0f, 0.0f}, {1, 2})))
+          .Backward();
+      ExpectBitwise({1.0f, 2.0f}, a.impl()->grad.ToVector(), "grad of a");
+      ExpectBitwise({1.0f, 0.0f, 1.0f, 0.0f}, b.impl()->grad.ToVector(),
+                    "grad of b");
+    }
   }
 }
 

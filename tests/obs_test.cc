@@ -216,6 +216,37 @@ TEST_F(ObsTest, OpDispatchCountersCountCalls) {
       add_before + 1);
 }
 
+// Each autograd node remembers the op that attached it, and Backward counts
+// the node's closure under that op: two MatMuls and one bias Add on the tape
+// add 2 and 1 to the backward call counters, and nothing with metrics off.
+TEST_F(ObsTest, BackwardCountersAttributeEachNodeToItsOp) {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  obs::Counter& mm_calls = reg.GetCounter("tensor.op.MatMul.backward.calls");
+  obs::Counter& mm_nanos = reg.GetCounter("tensor.op.MatMul.backward.nanos");
+  obs::Counter& add_calls = reg.GetCounter("tensor.op.Add.backward.calls");
+  Rng rng(4);
+  Tensor x = Tensor::Randn({3, 5, 4}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor w1 = Tensor::Randn({4, 4}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor w2 = Tensor::Randn({4, 2}, &rng, 1.0f, /*requires_grad=*/true);
+  Tensor bias = Tensor::Randn({4}, &rng, 1.0f, /*requires_grad=*/true);
+  auto step = [&] { Sum(MatMul(Add(MatMul(x, w1), bias), w2)).Backward(); };
+
+  const int64_t mm0 = mm_calls.value(), nanos0 = mm_nanos.value();
+  const int64_t add0 = add_calls.value();
+  step();
+  EXPECT_EQ(mm_calls.value(), mm0 + 2);
+  EXPECT_EQ(add_calls.value(), add0 + 1);
+  EXPECT_GT(mm_nanos.value(), nanos0);
+
+  obs::SetMetricsEnabled(false);
+  const int64_t mm1 = mm_calls.value(), nanos1 = mm_nanos.value();
+  const int64_t add1 = add_calls.value();
+  step();
+  EXPECT_EQ(mm_calls.value(), mm1);
+  EXPECT_EQ(mm_nanos.value(), nanos1);
+  EXPECT_EQ(add_calls.value(), add1);
+}
+
 // Extracts (tid, start_us, end_us, name) for every trace event.
 struct SpanRec {
   double tid;
