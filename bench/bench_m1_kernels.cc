@@ -162,20 +162,74 @@ BENCHMARK(BM_MatMulSimd)
     ->Args({128, 0})->Args({128, 1})
     ->Args({256, 0})->Args({256, 1});
 
+// The transcendental rows (Args = {shape, tier}): shape 0 is the attention
+// scores [128,30,30], 1 the encoder FFN hidden [128,30,64], 2 the
+// full-catalog logits [128,1200]. Softmax is the forward alone; Gelu is the
+// forward, and GeluBackward is Sum(Gelu(x)).Backward() with the forward
+// included.
+Shape TranscendentalShape(int64_t i) {
+  static const Shape kShapes[] = {{128, 30, 30}, {128, 30, 64}, {128, 1200}};
+  return kShapes[i];
+}
+
 void BM_SoftmaxSimd(benchmark::State& state) {
-  auto tier = static_cast<simd::Tier>(state.range(0));
+  const Shape shape = TranscendentalShape(state.range(0));
+  auto tier = static_cast<simd::Tier>(state.range(1));
   if (SkipIfTierUnavailable(state, tier)) return;
   simd::ScopedTier st(tier);
   runtime::ScopedNumThreads nt(1);
   Rng rng(3);
-  Tensor a = Tensor::Randn({128, 30, 30}, &rng);
+  Tensor a = Tensor::Randn(shape, &rng);
   NoGradGuard ng;
   for (auto _ : state) {
     benchmark::DoNotOptimize(Softmax(a).data());
   }
-  state.SetLabel(simd::TierName(tier));
+  state.SetLabel(std::string(simd::TierName(tier)) + " " +
+                 ShapeToString(shape));
 }
-BENCHMARK(BM_SoftmaxSimd)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoftmaxSimd)
+    ->Args({0, 0})->Args({0, 1})
+    ->Args({1, 0})->Args({1, 1})
+    ->Args({2, 0})->Args({2, 1});
+
+void BM_GeluSimd(benchmark::State& state) {
+  const Shape shape = TranscendentalShape(state.range(0));
+  auto tier = static_cast<simd::Tier>(state.range(1));
+  if (SkipIfTierUnavailable(state, tier)) return;
+  simd::ScopedTier st(tier);
+  runtime::ScopedNumThreads nt(1);
+  Rng rng(8);
+  Tensor a = Tensor::Randn(shape, &rng);
+  NoGradGuard ng;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Gelu(a).data());
+  }
+  state.SetItemsProcessed(state.iterations() * a.numel());
+  state.SetLabel(std::string(simd::TierName(tier)) + " " +
+                 ShapeToString(shape));
+}
+BENCHMARK(BM_GeluSimd)->Args({1, 0})->Args({1, 1})->Args({2, 0})->Args({2, 1});
+
+void BM_GeluBackwardSimd(benchmark::State& state) {
+  const Shape shape = TranscendentalShape(state.range(0));
+  auto tier = static_cast<simd::Tier>(state.range(1));
+  if (SkipIfTierUnavailable(state, tier)) return;
+  simd::ScopedTier st(tier);
+  runtime::ScopedNumThreads nt(1);
+  Rng rng(9);
+  Tensor x = Tensor::Randn(shape, &rng, 1.0f, true);
+  for (auto _ : state) {
+    Sum(Gelu(x)).Backward();
+    benchmark::DoNotOptimize(x.impl()->grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+  state.SetLabel(std::string(simd::TierName(tier)) + " " +
+                 ShapeToString(shape));
+}
+BENCHMARK(BM_GeluBackwardSimd)
+    ->Args({1, 0})->Args({1, 1})
+    ->Args({2, 0})->Args({2, 1});
 
 void BM_LayerNormSimd(benchmark::State& state) {
   auto tier = static_cast<simd::Tier>(state.range(0));

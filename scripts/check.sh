@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local reproduction of the CI jobs (.github/workflows/ci.yml):
-#   1. Release build + full ctest suite, serial, with MISSL_NUM_THREADS=4,
-#      with MISSL_SIMD=off, and with MISSL_ALLOC=system (all four must agree
-#      bitwise)
+#   1. Release build, the no-FMA audit of the AVX2 kernel object
+#      (scripts/check_no_fma.sh), and the full ctest suite, serial, with
+#      MISSL_NUM_THREADS=4, with MISSL_SIMD=off, and with MISSL_ALLOC=system
+#      (all four must agree bitwise)
 #   2. ASan+UBSan build + full ctest suite
 #   3. TSan build, running the threaded tests (runtime_test, models_test,
 #      serve_test — the serving micro-batcher must stay race-free —
@@ -38,6 +39,8 @@ run_release() {
   echo "=== [release] Release build + full test suite ==="
   cmake -B build-check-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-check-release -j"$(nproc)"
+  echo "=== [release] no-FMA audit of the AVX2 kernel object ==="
+  scripts/check_no_fma.sh build-check-release
   ctest --test-dir build-check-release --output-on-failure -j"$(nproc)"
   echo "=== [release] again with MISSL_NUM_THREADS=4 (results must match) ==="
   MISSL_NUM_THREADS=4 ctest --test-dir build-check-release --output-on-failure -j"$(nproc)"

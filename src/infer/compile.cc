@@ -15,6 +15,7 @@
 #include "infer/plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "tensor/ops.h"
 #include "tensor/quant.h"
 #include "utils/check.h"
 
@@ -514,9 +515,12 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       emit(op);
     }
     // Plan-time constant: sigmoid of the (frozen) scalar fusion gate,
-    // computed with exactly the Sigmoid op's formula.
-    const float gate_raw = param("fusion_gate").data()[0];
-    const float gate = 1.0f / (1.0f + std::exp(-gate_raw));
+    // computed by the Sigmoid op itself.
+    float gate;
+    {
+      NoGradGuard no_grad;
+      gate = Sigmoid(param("fusion_gate")).data()[0];
+    }
     int32_t fused2 = ex->NewBuffer(K * d, "fused_aux");
     {
       Op op;

@@ -43,31 +43,6 @@ struct InferMetrics {
   }
 };
 
-// Scalar activation formulas, kept character-identical to the lambdas in
-// tensor/ops_elementwise.cc (single-rounding elementwise math is
-// tier-independent, so applying them here in the GEMM epilogue cannot
-// change bits).
-inline float GeluF(float x) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  float u = kC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(u));
-}
-
-// In-place softmax over one row, replicating the exact loop structure of
-// Softmax in tensor/ops_nn.cc (max from element 0, exp/sum in ascending
-// order, ScaleRow by the reciprocal).
-inline void SoftmaxRow(float* row, int64_t n) {
-  float mx = row[0];
-  for (int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
-  float sum = 0.0f;
-  for (int64_t i = 0; i < n; ++i) {
-    row[i] = std::exp(row[i] - mx);
-    sum += row[i];
-  }
-  float inv = 1.0f / sum;
-  simd::ScaleRow(row, inv, row, n);
-}
-
 // Mean routing's per-row interest mean: ascending-K sum from 0.0f, then the
 // 1/K scale, as Mean in ops_reduce.cc. ints is [b, K, d], mean is [b, d].
 void MeanInterests(const float* ints, int64_t b, int64_t K, int64_t d,
@@ -224,7 +199,7 @@ void PlannedExecutor::ExecBuildIncidence(const Op& op, int64_t b) {
 
 // GEMM with the bias add and activation fused into the epilogue of each
 // row chunk. MatMul zero-initializes its output and accumulates with
-// GemmRows; doing the fill + GemmRows + AddRow + scalar activation per
+// GemmRows; doing the fill + GemmRows + AddRow + activation kernel per
 // chunk touches each output row once while leaving every rounded operation
 // identical to the MatMul / Add / Tanh / Gelu op chain.
 void PlannedExecutor::ExecLinear(const Op& op, int64_t b) {
@@ -243,10 +218,10 @@ void PlannedExecutor::ExecLinear(const Op& op, int64_t b) {
             case Activation::kNone:
               break;
             case Activation::kTanh:
-              for (int64_t j = 0; j < out; ++j) y[j] = std::tanh(y[j]);
+              simd::TanhRow(y, y, out);
               break;
             case Activation::kGelu:
-              for (int64_t j = 0; j < out; ++j) y[j] = GeluF(y[j]);
+              simd::GeluRow(y, y, out);
               break;
           }
         }
@@ -269,10 +244,11 @@ void PlannedExecutor::ExecMaskedNormalize(const Op& op, int64_t b) {
   runtime::ParallelFor(0, b * cols, runtime::GrainForCost(8),
                        [&](int64_t i0, int64_t i1) {
                          for (int64_t i = i0; i < i1; ++i) {
-                           float x = scores[i];
-                           x = x < -10.0f ? -10.0f : (x > 10.0f ? 10.0f : x);
-                           ex[i] = std::exp(x);
+                           const float x = scores[i];
+                           ex[i] =
+                               x < -10.0f ? -10.0f : (x > 10.0f ? 10.0f : x);
                          }
+                         simd::ExpRow(ex + i0, ex + i0, i1 - i0);
                        });
   runtime::ParallelFor(
       0, b * rows, runtime::GrainForCost(4 * cols),
@@ -361,7 +337,7 @@ void PlannedExecutor::ExecAttention(const Op& op, int64_t b) {
         for (int64_t j = 0; j < t; ++j) {
           row[j] = row[j] + (it[j] < 0 ? -1e9f : 0.0f);
         }
-        SoftmaxRow(row, t);
+        simd::SoftmaxRow(row, row, t);
       }
       std::fill(out, out + t * dh, 0.0f);
       simd::GemmRows(sc, vp, out, t, dh, dh, dh, 0, t);
@@ -442,7 +418,7 @@ void PlannedExecutor::ExecInterestExtract(const Op& op, int64_t b) {
           const bool member = it[j] >= 0 && bh[j] == op.behavior;
           row[j] = row[j] + (member ? 0.0f : -1e9f);
         }
-        SoftmaxRow(row, t);
+        simd::SoftmaxRow(row, row, t);
       }
       float* o = dst + bb * K * d;
       std::fill(o, o + K * d, 0.0f);

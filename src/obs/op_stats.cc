@@ -21,6 +21,7 @@ const OpStats& OpStats::Get(const char* name) {
     // The name pointer aliases the map key (stable in std::map), so OpStats
     // never dangles even if the caller's string was temporary.
     it->second.reset(new OpStats{{it->first.c_str(), "tensor_op"},
+                                 {it->first.c_str(), "tensor_op.backward"},
                                  reg.GetCounter(base + ".calls"),
                                  reg.GetCounter(base + ".nanos"),
                                  reg.GetCounter(base + ".backward.calls"),

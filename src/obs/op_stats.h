@@ -5,7 +5,8 @@
 // thread's track. The scope also marks its op as the thread's current one,
 // so the autograd node the op attaches remembers it, and Tensor::Backward
 // counts that node's backward closure into "tensor.op.<Name>.backward.calls"
-// / ".backward.nanos" while metrics are on.
+// / ".backward.nanos" while metrics are on, and records it as a span of
+// category "tensor_op.backward" while a tracing session is open.
 //
 // With metrics and tracing both disabled the scope is two predictable
 // branches, a thread-local pointer swap and no clock reads — cheap enough to
@@ -22,7 +23,8 @@ namespace missl::obs {
 /// a process-lifetime reference; call sites hold it in a function-local
 /// static so the registry lock is paid once per site.
 struct OpStats {
-  SpanSite site;  ///< {op name, "tensor_op"}
+  SpanSite site;           ///< {op name, "tensor_op"}
+  SpanSite backward_site;  ///< {op name, "tensor_op.backward"}
   Counter& calls;
   Counter& nanos;
   Counter& backward_calls;

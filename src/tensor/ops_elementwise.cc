@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include "obs/op_stats.h"
 #include "runtime/parallel_for.h"
@@ -31,11 +30,6 @@ using BinaryRowKernel = void (*)(const float*, const float*, float*, int64_t);
 // (pa, pb, g, acc, n): accumulate d(op)/d(side) * g into acc.
 using BinaryAccumKernel = void (*)(const float*, const float*, const float*,
                                    float*, int64_t);
-using UnaryRowKernel = std::function<void(const float*, float*, int64_t)>;
-// (pa, po, g, ga, n): accumulate d(op)/dx * g into ga.
-using UnaryAccumKernel =
-    std::function<void(const float*, const float*, const float*, float*,
-                       int64_t)>;
 
 // Calls f(j, x, y) for j in [0, n) with x = a[j * a_step] and
 // y = b[j * b_step], holding an input that repeats along the row (step 0)
@@ -195,11 +189,13 @@ Tensor BinaryOp(const char* name, const Tensor& a, const Tensor& b, F fwd,
   return out;
 }
 
-// Generic unary op: fwd(x) value, dfd(x, y) local derivative given input x
-// and output y (lets tanh/sigmoid reuse the output).
-template <typename F, typename D>
-Tensor UnaryOp(const char* name, const Tensor& a, F fwd, D dfd,
-               UnaryRowKernel vfwd = nullptr, UnaryAccumKernel vbwd = nullptr) {
+// Generic unary op over row functions: fwd(pa, po, n) writes the output
+// row, bwd(pa, po, g, ga, n) accumulates d(op)/dx * g into ga given input
+// and output rows (so tanh/sigmoid can reuse the output). Ops with a kernel
+// pass it directly; the rest lift a per-element formula with Rowwise /
+// RowwiseGrad.
+template <typename F, typename B>
+Tensor UnaryOp(const char* name, const Tensor& a, F fwd, B bwd) {
   MISSL_OP_SCOPE(name);  // per-instantiation static; see BinaryOp
   MISSL_CHECK_CONTIGUOUS(a);
   Tensor out = MakeResult(a.shape());
@@ -207,10 +203,9 @@ Tensor UnaryOp(const char* name, const Tensor& a, F fwd, D dfd,
   float* po = out.data();
   runtime::ParallelFor(0, a.numel(), runtime::GrainForCost(1),
                        [&](int64_t i0, int64_t i1) {
-    if (vfwd) return vfwd(pa + i0, po + i0, i1 - i0);
-    for (int64_t i = i0; i < i1; ++i) po[i] = fwd(pa[i]);
+    fwd(pa + i0, po + i0, i1 - i0);
   });
-  AttachGrad(&out, {a}, [a, out = TensorRef(out), dfd, vbwd]() {
+  AttachGrad(&out, {a}, [a, out = TensorRef(out), bwd]() {
     const float* g = out.impl()->grad.data();
     const float* pa = a.data();
     const float* po = out.data();
@@ -218,11 +213,28 @@ Tensor UnaryOp(const char* name, const Tensor& a, F fwd, D dfd,
     float* ga = a.impl()->grad.data();
     runtime::ParallelFor(0, a.numel(), runtime::GrainForCost(2),
                          [&](int64_t i0, int64_t i1) {
-      if (vbwd) return vbwd(pa + i0, po + i0, g + i0, ga + i0, i1 - i0);
-      for (int64_t i = i0; i < i1; ++i) ga[i] += dfd(pa[i], po[i]) * g[i];
+      bwd(pa + i0, po + i0, g + i0, ga + i0, i1 - i0);
     });
   });
   return out;
+}
+
+// o[i] = f(a[i]) as a row function.
+template <typename F>
+auto Rowwise(F f) {
+  return [f](const float* pa, float* po, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) po[i] = f(pa[i]);
+  };
+}
+
+// ga[i] += dfd(x, y) * g[i] as a row function, from the local derivative at
+// input x and output y.
+template <typename D>
+auto RowwiseGrad(D dfd) {
+  return [dfd](const float* pa, const float* po, const float* g, float* ga,
+               int64_t n) {
+    for (int64_t i = 0; i < n; ++i) ga[i] += dfd(pa[i], po[i]) * g[i];
+  };
 }
 
 }  // namespace
@@ -278,8 +290,7 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp(
-      "AddScalar", a, [s](float x) { return x + s; },
-      [](float, float) { return 1.0f; },
+      "AddScalar", a,
       [s](const float* pa, float* po, int64_t n) {
         simd::AddScalarRow(pa, s, po, n);
       },
@@ -290,8 +301,7 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor MulScalar(const Tensor& a, float s) {
   return UnaryOp(
-      "MulScalar", a, [s](float x) { return x * s; },
-      [s](float, float) { return s; },
+      "MulScalar", a,
       [s](const float* pa, float* po, int64_t n) {
         simd::ScaleRow(pa, s, po, n);
       },
@@ -307,83 +317,86 @@ Tensor Relu(const Tensor& a) {
   // vector select would produce +0.0, and `x + (-0.0)` vs `x + (+0.0)`
   // differ bitwise when the accumulator holds -0.0.
   return UnaryOp(
-      "Relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; },
-      [](const float* pa, float* po, int64_t n) {
-        simd::ReluRow(pa, po, n);
-      });
+      "Relu", a,
+      [](const float* pa, float* po, int64_t n) { simd::ReluRow(pa, po, n); },
+      RowwiseGrad([](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }));
 }
 
+// Gelu, Sigmoid, Tanh and Exp evaluate exp/tanh with the tier-invariant
+// kernels of tensor/simd.h, never libm.
 Tensor Gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
   return UnaryOp(
       "Gelu", a,
-      [](float x) {
-        float u = kC * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(u));
-      },
-      [](float x, float) {
-        float u = kC * (x + 0.044715f * x * x * x);
-        float t = std::tanh(u);
-        float du = kC * (1.0f + 3.0f * 0.044715f * x * x);
-        return 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-      });
+      [](const float* pa, float* po, int64_t n) { simd::GeluRow(pa, po, n); },
+      [](const float* pa, const float*, const float* g, float* ga,
+         int64_t n) { simd::GeluGradRow(pa, g, ga, n); });
 }
 
 Tensor Sigmoid(const Tensor& a) {
+  // 1 / (1 + exp(x * -1)).
   return UnaryOp(
-      "Sigmoid", a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
+      "Sigmoid", a,
+      [](const float* pa, float* po, int64_t n) {
+        simd::ScaleRow(pa, -1.0f, po, n);
+        simd::ExpRow(po, po, n);
+        for (int64_t i = 0; i < n; ++i) po[i] = 1.0f / (1.0f + po[i]);
+      },
+      RowwiseGrad([](float, float y) { return y * (1.0f - y); }));
 }
 
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(
-      "Tanh", a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+      "Tanh", a,
+      [](const float* pa, float* po, int64_t n) { simd::TanhRow(pa, po, n); },
+      RowwiseGrad([](float, float y) { return 1.0f - y * y; }));
 }
 
 Tensor Exp(const Tensor& a) {
   return UnaryOp(
-      "Exp", a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; });
+      "Exp", a,
+      [](const float* pa, float* po, int64_t n) { simd::ExpRow(pa, po, n); },
+      RowwiseGrad([](float, float y) { return y; }));
 }
 
 Tensor Log(const Tensor& a) {
-  return UnaryOp(
-      "Log", a, [](float x) { return std::log(x); },
-      [](float x, float) { return 1.0f / x; });
+  return UnaryOp("Log", a, Rowwise([](float x) { return std::log(x); }),
+                 RowwiseGrad([](float x, float) { return 1.0f / x; }));
 }
 
 Tensor Sqrt(const Tensor& a) {
   return UnaryOp(
-      "Sqrt", a, [](float x) { return std::sqrt(x); },
-      [](float, float y) { return 0.5f / (y > 1e-12f ? y : 1e-12f); });
+      "Sqrt", a, Rowwise([](float x) { return std::sqrt(x); }),
+      RowwiseGrad(
+          [](float, float y) { return 0.5f / (y > 1e-12f ? y : 1e-12f); }));
 }
 
 Tensor Square(const Tensor& a) {
-  return UnaryOp(
-      "Square", a, [](float x) { return x * x; },
-      [](float x, float) { return 2.0f * x; });
+  return UnaryOp("Square", a, Rowwise([](float x) { return x * x; }),
+                 RowwiseGrad([](float x, float) { return 2.0f * x; }));
 }
 
 Tensor Abs(const Tensor& a) {
   return UnaryOp(
-      "Abs", a, [](float x) { return std::fabs(x); },
-      [](float x, float) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); });
+      "Abs", a, Rowwise([](float x) { return std::fabs(x); }),
+      RowwiseGrad([](float x, float) {
+        return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
+      }));
 }
 
 Tensor Clamp(const Tensor& a, float lo, float hi) {
   MISSL_CHECK(lo <= hi) << "Clamp with lo > hi";
   return UnaryOp(
-      "Clamp", a, [lo, hi](float x) { return x < lo ? lo : (x > hi ? hi : x); },
-      [lo, hi](float x, float) { return (x >= lo && x <= hi) ? 1.0f : 0.0f; });
+      "Clamp", a,
+      Rowwise([lo, hi](float x) { return x < lo ? lo : (x > hi ? hi : x); }),
+      RowwiseGrad([lo, hi](float x, float) {
+        return (x >= lo && x <= hi) ? 1.0f : 0.0f;
+      }));
 }
 
 Tensor Pow(const Tensor& a, float p) {
   return UnaryOp(
-      "Pow", a, [p](float x) { return std::pow(x, p); },
-      [p](float x, float) { return p * std::pow(x, p - 1.0f); });
+      "Pow", a, Rowwise([p](float x) { return std::pow(x, p); }),
+      RowwiseGrad([p](float x, float) { return p * std::pow(x, p - 1.0f); }));
 }
 
 }  // namespace missl

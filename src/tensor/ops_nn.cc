@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 
 #include "obs/op_stats.h"
@@ -35,19 +36,7 @@ Tensor Softmax(const Tensor& a) {
   runtime::ParallelFor(0, rows, runtime::GrainForCost(4 * d),
                        [&](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      const float* x = pa + r * d;
-      float* y = po + r * d;
-      // Max and exp-sum are ordered reductions: scalar on every tier. Only
-      // the independent per-element rescale takes the vector path.
-      float mx = x[0];
-      for (int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
-      float sum = 0.0f;
-      for (int64_t i = 0; i < d; ++i) {
-        y[i] = std::exp(x[i] - mx);
-        sum += y[i];
-      }
-      float inv = 1.0f / sum;
-      simd::ScaleRow(y, inv, y, d);
+      simd::SoftmaxRow(pa + r * d, po + r * d, d);
     }
   });
   AttachGrad(&out, {a}, [a, out = TensorRef(out), rows, d]() {
@@ -85,11 +74,13 @@ Tensor LogSoftmax(const Tensor& a) {
       float* y = po + r * d;
       float mx = x[0];
       for (int64_t i = 1; i < d; ++i) mx = std::max(mx, x[i]);
+      // x - c == x + (-c) exactly in IEEE arithmetic, so both shifts use the
+      // vector add-scalar kernel. y holds exp(x - mx) until the last one.
+      simd::AddScalarRow(x, -mx, y, d);
+      simd::ExpRow(y, y, d);
       float sum = 0.0f;
-      for (int64_t i = 0; i < d; ++i) sum += std::exp(x[i] - mx);
+      for (int64_t i = 0; i < d; ++i) sum += y[i];
       float lse = mx + std::log(sum);
-      // x - lse == x + (-lse) exactly in IEEE arithmetic, so the shift can
-      // use the vector add-scalar kernel.
       simd::AddScalarRow(x, -lse, y, d);
     }
   });
@@ -100,13 +91,21 @@ Tensor LogSoftmax(const Tensor& a) {
     float* ga = a.impl()->grad.data();
     runtime::ParallelFor(0, rows, runtime::GrainForCost(4 * d),
                          [&](int64_t r0, int64_t r1) {
+      constexpr int64_t kTile = 256;
+      alignas(32) float e[kTile];
       for (int64_t r = r0; r < r1; ++r) {
         const float* gr = g + r * d;
         const float* yr = y + r * d;
         float* gar = ga + r * d;
         float gsum = 0.0f;
         for (int64_t i = 0; i < d; ++i) gsum += gr[i];
-        for (int64_t i = 0; i < d; ++i) gar[i] += gr[i] - std::exp(yr[i]) * gsum;
+        for (int64_t j = 0; j < d; j += kTile) {
+          const int64_t n = std::min(kTile, d - j);
+          simd::ExpRow(yr + j, e, n);
+          for (int64_t i = 0; i < n; ++i) {
+            gar[j + i] += gr[j + i] - e[i] * gsum;
+          }
+        }
       }
     });
   });
@@ -257,15 +256,7 @@ Tensor CrossEntropyLoss(const Tensor& logits, const std::vector<int32_t>& target
   for (int64_t r = 0; r < bsz; ++r) {
     const float* x = pl + r * c;
     float* pr = prob->data() + r * c;
-    float mx = x[0];
-    for (int64_t i = 1; i < c; ++i) mx = std::max(mx, x[i]);
-    float sum = 0.0f;
-    for (int64_t i = 0; i < c; ++i) {
-      pr[i] = std::exp(x[i] - mx);
-      sum += pr[i];
-    }
-    float inv = 1.0f / sum;
-    simd::ScaleRow(pr, inv, pr, c);
+    simd::SoftmaxRow(x, pr, c);
     int32_t t = targets[static_cast<size_t>(r)];
     if (t < 0) continue;
     MISSL_CHECK(t < c) << "target " << t << " out of range " << c;

@@ -1,11 +1,15 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "obs/metrics.h"
+#include "tensor/simd_math.h"
 #include "utils/check.h"
 #include "utils/logging.h"
 
@@ -37,6 +41,10 @@ void LayerNormGradRow(const float* g, const float* gamma, const float* xh,
                       float m1, float m2, float is, float* gx, int64_t n);
 void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
                     int64_t n);
+void ExpRow(const float* a, float* o, int64_t n);
+void TanhRow(const float* a, float* o, int64_t n);
+void GeluRow(const float* a, float* o, int64_t n);
+void GeluGradRow(const float* x, const float* g, float* gx, int64_t n);
 void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
                  int64_t r0, int64_t r1);
 void DequantRow(const int32_t* acc, float act_scale, const float* scales,
@@ -315,6 +323,86 @@ void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
   for (int64_t i = 0; i < n; ++i) ga[i] += y[i] * (g[i] - dot);
 }
 
+// The transcendentals: every operation below rounds once, in the order
+// written, and Exp8/Tanh8 in simd_avx2.cc perform the same operations in
+// the same order on eight lanes. The clamps are
+// written `c < x ? c : x` (and `c > x ? c : x`), the operand order of
+// vminps(c, x) / vmaxps(c, x), which return x when it is NaN. The 2^n scale
+// is built from the bits of the rounded t, never by converting a float to an
+// integer, so a NaN input flows through defined integer arithmetic to a NaN
+// result.
+inline float ExpF(float x) {
+  using namespace math;
+  float c = kExpHi < x ? kExpHi : x;
+  c = kExpMinArg > c ? kExpMinArg : c;
+  const float t = c * kLog2e + kRoundMagic;  // n in t's low mantissa bits
+  const float nf = t - kRoundMagic;          // n, exactly
+  float r = c - nf * kLn2Hi;
+  r = r - nf * kLn2Lo;
+  float p = kExpP0 * r + kExpP1;
+  p = p * r + kExpP2;
+  p = p * r + kExpP3;
+  p = p * r + kExpP4;
+  p = p * r + kExpP5;
+  p = p * (r * r) + r;
+  p = p + 1.0f;
+  const int32_t n = static_cast<int32_t>(std::bit_cast<uint32_t>(t) -
+                                         std::bit_cast<uint32_t>(kRoundMagic));
+  const int32_t n1 = n >> 1;
+  const int32_t n2 = n - n1;
+  float y = p * std::bit_cast<float>(static_cast<uint32_t>(n1 + 127) << 23);
+  y = y * std::bit_cast<float>(static_cast<uint32_t>(n2 + 127) << 23);
+  return x < kExpMinArg ? 0.0f : y;
+}
+
+inline float TanhF(float x) {
+  using namespace math;
+  float c = kTanhClamp < x ? kTanhClamp : x;
+  c = -kTanhClamp > c ? -kTanhClamp : c;
+  const float x2 = c * c;
+  float p = kTanhA13 * x2 + kTanhA11;
+  p = p * x2 + kTanhA9;
+  p = p * x2 + kTanhA7;
+  p = p * x2 + kTanhA5;
+  p = p * x2 + kTanhA3;
+  p = p * x2 + kTanhA1;
+  p = p * c;
+  float q = kTanhB6 * x2 + kTanhB4;
+  q = q * x2 + kTanhB2;
+  q = q * x2 + kTanhB0;
+  const float r = p / q;
+  return std::fabs(x) < kTanhTiny ? x : r;
+}
+
+inline float GeluU(float x) {
+  return math::kGeluC * (x + math::kGeluA * x * x * x);
+}
+
+void ExpRow(const float* a, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = ExpF(a[i]);
+}
+
+void TanhRow(const float* a, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) o[i] = TanhF(a[i]);
+}
+
+void GeluRow(const float* a, float* o, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float x = a[i];
+    o[i] = 0.5f * x * (1.0f + TanhF(GeluU(x)));
+  }
+}
+
+void GeluGradRow(const float* x, const float* g, float* gx, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    const float t = TanhF(GeluU(xi));
+    const float du = math::kGeluC * (1.0f + math::kGeluA3 * xi * xi);
+    const float d = 0.5f * (1.0f + t) + 0.5f * xi * (1.0f - t * t) * du;
+    gx[i] += d * g[i];
+  }
+}
+
 // Integer kernel: unlike the float loops above, this one is the contract
 // only up to the mathematical sum — int32 adds are associative, so any
 // re-blocking (the AVX2 path uses 32-lane maddubs partials) is bitwise
@@ -452,6 +540,22 @@ void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
   MISSL_SIMD_DISPATCH(SoftmaxGradRow, y, g, dot, ga, n);
 }
 
+void ExpRow(const float* a, float* o, int64_t n) {
+  MISSL_SIMD_DISPATCH(ExpRow, a, o, n);
+}
+
+void TanhRow(const float* a, float* o, int64_t n) {
+  MISSL_SIMD_DISPATCH(TanhRow, a, o, n);
+}
+
+void GeluRow(const float* a, float* o, int64_t n) {
+  MISSL_SIMD_DISPATCH(GeluRow, a, o, n);
+}
+
+void GeluGradRow(const float* x, const float* g, float* gx, int64_t n) {
+  MISSL_SIMD_DISPATCH(GeluGradRow, x, g, gx, n);
+}
+
 void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
                  int64_t r0, int64_t r1) {
   MISSL_SIMD_DISPATCH(Int8DotRows, a, b, o, k, r0, r1);
@@ -477,5 +581,15 @@ void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
 }
 
 #undef MISSL_SIMD_DISPATCH
+
+void SoftmaxRow(const float* x, float* y, int64_t n) {
+  float mx = x[0];
+  for (int64_t i = 1; i < n; ++i) mx = std::max(mx, x[i]);
+  AddScalarRow(x, -mx, y, n);  // x + (-mx) == x - mx, bit for bit
+  ExpRow(y, y, n);
+  float sum = 0.0f;
+  for (int64_t i = 0; i < n; ++i) sum += y[i];
+  ScaleRow(y, 1.0f / sum, y, n);
+}
 
 }  // namespace missl::simd

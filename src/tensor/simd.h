@@ -168,6 +168,43 @@ void LayerNormGradRow(const float* g, const float* gamma, const float* xh,
 void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
                     int64_t n);
 
+// ---- Transcendentals --------------------------------------------------------
+// exp and tanh are defined here, once, as fixed sequences of rounded float
+// operations (range reduction, then a polynomial or a rational; multiply
+// then add, never FMA; no libm call). The scalar tier is the reference and
+// the AVX2 lanes replay it operation for operation, so every tier returns
+// the same bits. Contract (tests/kernel_property_test.cc):
+//   - exp is within 2 ulp of libm's expf on [-87.3, 88.7]. It returns +0
+//     where expf would be below FLT_MIN (x < -87.33654, no denormals), +inf
+//     where expf overflows, and NaN for NaN.
+//   - tanh is within 8 ulp of libm's tanhf for every finite x, odd bit for
+//     bit, tanh(+-0) = +-0, passes |x| < 4e-4 (denormals included) through
+//     unchanged, returns exactly +-1 wherever tanhf does, and NaN for NaN.
+//   - Clamps keep NaN on every tier, and the scalar path converts no NaN or
+//     out-of-range float to an integer.
+// Inputs may be any floats; `o` may alias `a`.
+
+/// o[i] = exp(a[i]).
+void ExpRow(const float* a, float* o, int64_t n);
+
+/// o[i] = tanh(a[i]).
+void TanhRow(const float* a, float* o, int64_t n);
+
+/// o[i] = 0.5 * a * (1 + tanh(u)), u = c * (a + 0.044715 * a^3), c =
+/// sqrt(2 / pi): the tanh-approximation GELU (the Gelu op's forward).
+void GeluRow(const float* a, float* o, int64_t n);
+
+/// gx[i] += gelu'(x[i]) * g[i], recomputing tanh(u) from x (the Gelu op's
+/// backward, which keeps no activation buffer).
+void GeluGradRow(const float* x, const float* g, float* gx, int64_t n);
+
+/// y = softmax(x) over one row of n > 0 entries, in place when y == x: the
+/// max (strict-< scan from x[0]) and the exp-sum (ascending) are ordered
+/// scalar reductions; y = x + (-max), ExpRow, sum, then ScaleRow by 1/sum.
+/// The one softmax row of the Softmax op, CrossEntropyLoss and the serving
+/// plan, so their outputs agree bit for bit.
+void SoftmaxRow(const float* x, float* y, int64_t n);
+
 /// o[r] = sum over i of int32(a[i]) * int32(b[r*k + i]) for rows r in
 /// [r0, r1): one quantized activation row dotted against rows of a row-major
 /// int8 matrix (the item-major quantized catalog). The contract is

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "tensor/simd.h"
+#include "tensor/simd_math.h"
 
 namespace missl::simd::avx2 {
 
@@ -598,6 +599,149 @@ void SoftmaxGradRow(const float* y, const float* g, float dot, float* ga,
     SoftmaxGradRowImpl<true>(y, g, dot, ga, n);
   } else {
     SoftmaxGradRowImpl<false>(y, g, dot, ga, n);
+  }
+}
+
+// ---- Transcendentals ------------------------------------------------------
+//
+// Exp8 and Tanh8 are ExpF and TanhF of simd.cc, line for line, on eight
+// lanes: the same constants (simd_math.h), the same rounded operations in
+// the same order. vminps(c, x) and vmaxps(c, x) return their second operand
+// when either is NaN, which is the scalar `c < x ? c : x` and keeps NaN. A
+// row's last n % 8 elements go through the same vector code on a masked
+// load and store, so no lane ever takes a different path. These kernels
+// are bound by arithmetic, not memory, so they use unaligned loads only.
+
+namespace {
+
+inline __m256 Exp8(__m256 x) {
+  using namespace math;
+  const __m256 magic = _mm256_set1_ps(kRoundMagic);
+  __m256 c = _mm256_min_ps(_mm256_set1_ps(kExpHi), x);
+  c = _mm256_max_ps(_mm256_set1_ps(kExpMinArg), c);
+  const __m256 t =
+      _mm256_add_ps(_mm256_mul_ps(c, _mm256_set1_ps(kLog2e)), magic);
+  const __m256 nf = _mm256_sub_ps(t, magic);
+  __m256 r = _mm256_sub_ps(c, _mm256_mul_ps(nf, _mm256_set1_ps(kLn2Hi)));
+  r = _mm256_sub_ps(r, _mm256_mul_ps(nf, _mm256_set1_ps(kLn2Lo)));
+  __m256 p = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kExpP0), r),
+                           _mm256_set1_ps(kExpP1));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP4));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP5));
+  p = _mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r);
+  p = _mm256_add_ps(p, _mm256_set1_ps(1.0f));
+  const __m256i n = _mm256_sub_epi32(_mm256_castps_si256(t),
+                                     _mm256_castps_si256(magic));
+  const __m256i n1 = _mm256_srai_epi32(n, 1);
+  const __m256i n2 = _mm256_sub_epi32(n, n1);
+  const __m256i bias = _mm256_set1_epi32(127);
+  __m256 y = _mm256_mul_ps(p, _mm256_castsi256_ps(_mm256_slli_epi32(
+                                  _mm256_add_epi32(n1, bias), 23)));
+  y = _mm256_mul_ps(y, _mm256_castsi256_ps(_mm256_slli_epi32(
+                           _mm256_add_epi32(n2, bias), 23)));
+  const __m256 under =
+      _mm256_cmp_ps(x, _mm256_set1_ps(kExpMinArg), _CMP_LT_OQ);
+  return _mm256_andnot_ps(under, y);
+}
+
+inline __m256 Tanh8(__m256 x) {
+  using namespace math;
+  __m256 c = _mm256_min_ps(_mm256_set1_ps(kTanhClamp), x);
+  c = _mm256_max_ps(_mm256_set1_ps(-kTanhClamp), c);
+  const __m256 x2 = _mm256_mul_ps(c, c);
+  __m256 p = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kTanhA13), x2),
+                           _mm256_set1_ps(kTanhA11));
+  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhA9));
+  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhA7));
+  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhA5));
+  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhA3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, x2), _mm256_set1_ps(kTanhA1));
+  p = _mm256_mul_ps(p, c);
+  __m256 q = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(kTanhB6), x2),
+                           _mm256_set1_ps(kTanhB4));
+  q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(kTanhB2));
+  q = _mm256_add_ps(_mm256_mul_ps(q, x2), _mm256_set1_ps(kTanhB0));
+  const __m256 r = _mm256_div_ps(p, q);
+  const __m256 ax = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x);
+  const __m256 tiny =
+      _mm256_cmp_ps(ax, _mm256_set1_ps(kTanhTiny), _CMP_LT_OQ);
+  return _mm256_blendv_ps(r, x, tiny);
+}
+
+inline __m256 GeluU8(__m256 x) {
+  using namespace math;
+  const __m256 x3 = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(kGeluA), x), x), x);
+  return _mm256_mul_ps(_mm256_set1_ps(kGeluC), _mm256_add_ps(x, x3));
+}
+
+inline __m256 Gelu8(__m256 x) {
+  const __m256 half_x = _mm256_mul_ps(_mm256_set1_ps(0.5f), x);
+  return _mm256_mul_ps(half_x,
+                       _mm256_add_ps(_mm256_set1_ps(1.0f), Tanh8(GeluU8(x))));
+}
+
+// gx + gelu'(x) * g, the scalar GeluGradRow sequence.
+inline __m256 GeluGrad8(__m256 x, __m256 g, __m256 gx) {
+  using namespace math;
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 t = Tanh8(GeluU8(x));
+  const __m256 du = _mm256_mul_ps(
+      _mm256_set1_ps(kGeluC),
+      _mm256_add_ps(one, _mm256_mul_ps(
+                             _mm256_mul_ps(_mm256_set1_ps(kGeluA3), x), x)));
+  const __m256 a = _mm256_mul_ps(half, _mm256_add_ps(one, t));
+  const __m256 b = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_mul_ps(half, x),
+                    _mm256_sub_ps(one, _mm256_mul_ps(t, t))),
+      du);
+  return _mm256_add_ps(gx, _mm256_mul_ps(_mm256_add_ps(a, b), g));
+}
+
+// Lane mask selecting the first m < 8 lanes.
+inline __m256i TailMask(int64_t m) {
+  alignas(32) static constexpr int32_t kMask[16] = {-1, -1, -1, -1, -1, -1,
+                                                    -1, -1, 0,  0,  0,  0,
+                                                    0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kMask + 8 - m));
+}
+
+// o[i] = f(a[i]) over a row, the last n % 8 elements masked.
+template <typename F>
+inline void MapRow(const float* a, float* o, int64_t n, F f) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(o + i, f(_mm256_loadu_ps(a + i)));
+  if (i < n) {
+    const __m256i m = TailMask(n - i);
+    _mm256_maskstore_ps(o + i, m, f(_mm256_maskload_ps(a + i, m)));
+  }
+}
+
+}  // namespace
+
+void ExpRow(const float* a, float* o, int64_t n) { MapRow(a, o, n, Exp8); }
+
+void TanhRow(const float* a, float* o, int64_t n) { MapRow(a, o, n, Tanh8); }
+
+void GeluRow(const float* a, float* o, int64_t n) { MapRow(a, o, n, Gelu8); }
+
+void GeluGradRow(const float* x, const float* g, float* gx, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(gx + i,
+                     GeluGrad8(_mm256_loadu_ps(x + i), _mm256_loadu_ps(g + i),
+                               _mm256_loadu_ps(gx + i)));
+  }
+  if (i < n) {
+    const __m256i m = TailMask(n - i);
+    _mm256_maskstore_ps(
+        gx + i, m,
+        GeluGrad8(_mm256_maskload_ps(x + i, m), _mm256_maskload_ps(g + i, m),
+                  _mm256_maskload_ps(gx + i, m)));
   }
 }
 

@@ -220,17 +220,23 @@ void Tensor::Backward() {
   }
   // topo is post-order: parents appear before children; iterate in reverse so
   // each node's grad is complete before it propagates to its parents.
-  // With metrics on, each closure is timed into its op's backward counters.
+  // With metrics on, each closure is timed into its op's backward counters;
+  // in a tracing session it is also recorded as its op's backward span.
   const bool timed = obs::MetricsEnabled();
+  const bool traced = obs::TracingEnabled();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     TensorImpl* node = *it;
     if (!node->backward_fn || node->grad.empty()) continue;
-    const obs::OpStats* op = timed ? node->op : nullptr;
+    const obs::OpStats* op = timed || traced ? node->op : nullptr;
     const int64_t t0 = op != nullptr ? obs::NowNanos() : 0;
     node->backward_fn();
     if (op != nullptr) {
-      op->backward_calls.Add(1);
-      op->backward_nanos.Add(obs::NowNanos() - t0);
+      const int64_t dur = obs::NowNanos() - t0;
+      if (timed) {
+        op->backward_calls.Add(1);
+        op->backward_nanos.Add(dur);
+      }
+      if (traced) obs::RecordSpan(op->backward_site, t0, dur);
     }
   }
   // Release the graph so intermediate buffers can be freed.

@@ -223,6 +223,237 @@ TEST(KernelPropertyTest, ElementwiseUnarySweep) {
     SweepOp("Neg " + ShapeToString(s),
             [](std::vector<Tensor>& in) { return Neg(in[0]); }, {a}, {s},
             n > 0);
+    // The transcendental ops, on [-2, 2] and on a range wide enough to reach
+    // every clamp of the exp/tanh kernels.
+    std::vector<float> wide = a;
+    for (float& x : wide) x *= 60.0f;
+    for (const auto* data : {&a, &wide}) {
+      const std::string tag =
+          (data == &a ? " " : " wide ") + ShapeToString(s);
+      SweepOp("Gelu" + tag,
+              [](std::vector<Tensor>& in) { return Gelu(in[0]); }, {*data},
+              {s}, n > 0);
+      SweepOp("Tanh" + tag,
+              [](std::vector<Tensor>& in) { return Tanh(in[0]); }, {*data},
+              {s}, n > 0);
+      SweepOp("Exp" + tag,
+              [](std::vector<Tensor>& in) { return Exp(in[0]); }, {*data},
+              {s}, n > 0);
+      SweepOp("Sigmoid" + tag,
+              [](std::vector<Tensor>& in) { return Sigmoid(in[0]); },
+              {*data}, {s}, n > 0);
+    }
+  }
+}
+
+// ---- Transcendental kernels -------------------------------------------------
+
+float NextUp(float x) {
+  return std::nextafter(x, std::numeric_limits<float>::infinity());
+}
+float NextDown(float x) {
+  return std::nextafter(x, -std::numeric_limits<float>::infinity());
+}
+
+// Inputs every transcendental kernel must agree on across tiers: signed
+// zeros, denormals, infinities, NaN, each clamp and branch edge of
+// ExpRow/TanhRow (and the HGAT normaliser's +-10 clamp) one ulp either
+// side, the softmax pad mask and an overflowing +100.
+std::vector<float> SpecialInputs() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float dmin = std::numeric_limits<float>::denorm_min();
+  std::vector<float> v = {0.0f,  -0.0f, dmin,  -dmin, 1e-40f, -1e-40f,
+                          inf,   -inf,  std::numeric_limits<float>::quiet_NaN(),
+                          -1e9f, 100.0f};
+  for (float edge : {88.75f, -87.33654f, 88.72284f, 7.90531110763549805f,
+                     0.0004f, 9.0109f, 10.0f}) {
+    for (float e : {edge, -edge}) {
+      v.push_back(e);
+      v.push_back(NextUp(e));
+      v.push_back(NextDown(e));
+    }
+  }
+  return v;
+}
+
+// Every row kernel of the transcendental family, as one signature:
+// (x, g, o, n) where o is the output (accumulated into by GeluGradRow).
+struct RowKernelCase {
+  const char* name;
+  std::function<void(const float*, const float*, float*, int64_t)> run;
+};
+
+std::vector<RowKernelCase> TranscendentalKernels() {
+  return {
+      {"ExpRow", [](const float* x, const float*, float* o,
+                    int64_t n) { simd::ExpRow(x, o, n); }},
+      {"TanhRow", [](const float* x, const float*, float* o,
+                     int64_t n) { simd::TanhRow(x, o, n); }},
+      {"GeluRow", [](const float* x, const float*, float* o,
+                     int64_t n) { simd::GeluRow(x, o, n); }},
+      {"GeluGradRow", [](const float* x, const float* g, float* o,
+                         int64_t n) { simd::GeluGradRow(x, g, o, n); }},
+      {"SoftmaxRow", [](const float* x, const float*, float* o, int64_t n) {
+         if (n > 0) simd::SoftmaxRow(x, o, n);
+       }},
+  };
+}
+
+// Each kernel on lengths 0..67 at every offset 0..7 from a 32-byte boundary
+// (so full vectors, masked tails and unaligned rows all occur), on inputs
+// mixing random values in [-12, 12] with the special values, must return
+// the scalar tier's bits on every tier, in and out of place.
+TEST(KernelPropertyTest, TranscendentalRowsBitwiseAcrossTiers) {
+  Rng rng(9090);
+  const std::vector<float> special = SpecialInputs();
+  for (const RowKernelCase& k : TranscendentalKernels()) {
+    for (int64_t n = 0; n <= 67; ++n) {
+      for (int64_t off = 0; off < 8; ++off) {
+        std::vector<float> x(static_cast<size_t>(n));
+        std::vector<float> g(static_cast<size_t>(n));
+        std::vector<float> o0(static_cast<size_t>(n));
+        for (int64_t i = 0; i < n; ++i) {
+          x[i] = rng.Uniform() < 0.3f
+                     ? special[rng.UniformInt(special.size())]
+                     : rng.Uniform(-12.0f, 12.0f);
+          g[i] = rng.Uniform(-2.0f, 2.0f);
+          o0[i] = rng.Uniform() < 0.2f ? -0.0f : rng.Uniform(-1.0f, 1.0f);
+        }
+        auto run = [&](Tier tier, bool in_place) {
+          simd::ScopedTier st(tier);
+          alignas(32) float buf[3][80];
+          float* px = buf[0] + off;
+          float* pg = buf[1] + off;
+          float* po = in_place ? px : buf[2] + off;
+          std::copy(x.begin(), x.end(), px);
+          std::copy(g.begin(), g.end(), pg);
+          if (!in_place) std::copy(o0.begin(), o0.end(), po);
+          k.run(px, pg, po, n);
+          return std::vector<float>(po, po + n);
+        };
+        // SoftmaxRow's max shift turns an inf into the default NaN, which
+        // then meets an input NaN of the other sign in ScaleRow; which of
+        // two NaN operands an x86 multiply returns depends on operand order,
+        // which the compiler may commute in the scalar loop. Every NaN is
+        // therefore compared as one value there, every other bit exactly.
+        const bool any_nan = k.name == std::string("SoftmaxRow");
+        auto canon = [any_nan](std::vector<float> v) {
+          for (float& f : v) {
+            if (any_nan && std::isnan(f)) f = std::nanf("");
+          }
+          return v;
+        };
+        // GeluGradRow accumulates into its output, so it has no in-place form.
+        for (bool in_place : {false, true}) {
+          if (in_place && k.name == std::string("GeluGradRow")) continue;
+          const std::vector<float> ref = canon(run(Tier::kScalar, in_place));
+          for (Tier tier : TiersToTest()) {
+            ExpectBitwise(ref, canon(run(tier, in_place)),
+                          std::string(k.name) + " tier=" +
+                              simd::TierName(tier) + " n=" +
+                              std::to_string(n) + " off=" +
+                              std::to_string(off) +
+                              (in_place ? " in place" : ""));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Distance in units in the last place: |Key(a) - Key(b)| over the
+// monotone integer image of the floats (+0 and -0 are both 0; inf is one
+// past FLT_MAX).
+int64_t UlpKey(float x) {
+  int32_t i;
+  std::memcpy(&i, &x, sizeof(i));
+  return i < 0 ? -static_cast<int64_t>(i & 0x7fffffff) : i;
+}
+int64_t UlpDistance(float a, float b) {
+  const int64_t d = UlpKey(a) - UlpKey(b);
+  return d < 0 ? -d : d;
+}
+uint32_t FloatBits(float x) {
+  uint32_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+// The error contract of simd.h against libm, on a strided walk over every
+// finite float (about a million inputs, both signs, every binade), on
+// every tier: exp within 2 ulp on [-87.3, 88.7], +0 below FLT_MIN's log
+// and +inf where expf overflows; tanh within 8 ulp everywhere, odd bit for
+// bit, x itself for |x| < 4e-4 and exactly +-1 wherever tanhf is. Prints
+// the worst input on failure.
+TEST(KernelPropertyTest, TranscendentalUlpBoundsAgainstLibm) {
+  std::vector<float> xs;
+  for (uint64_t u = 0; u < (uint64_t{1} << 32); u += 4093) {
+    uint32_t b = static_cast<uint32_t>(u);
+    float x;
+    std::memcpy(&x, &b, sizeof(x));
+    if (std::isfinite(x)) xs.push_back(x);
+  }
+  for (float x : SpecialInputs()) {
+    if (std::isfinite(x)) xs.push_back(x);
+  }
+  const int64_t n = static_cast<int64_t>(xs.size());
+  std::vector<float> neg(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) neg[i] = -xs[i];
+  for (Tier tier : TiersToTest()) {
+    SCOPED_TRACE(std::string("tier=") + simd::TierName(tier));
+    simd::ScopedTier st(tier);
+    std::vector<float> e(xs.size()), t(xs.size()), tn(xs.size());
+    simd::ExpRow(xs.data(), e.data(), n);
+    simd::TanhRow(xs.data(), t.data(), n);
+    simd::TanhRow(neg.data(), tn.data(), n);
+    int64_t worst_exp = 0, worst_tanh = 0;
+    float worst_exp_x = 0.0f, worst_tanh_x = 0.0f;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const float x = xs[i];
+      if (x >= -87.3f && x <= 88.7f) {
+        const int64_t d = UlpDistance(e[i], std::exp(x));
+        if (d > worst_exp) {
+          worst_exp = d;
+          worst_exp_x = x;
+        }
+      } else if (x < -87.33654f) {
+        EXPECT_EQ(FloatBits(e[i]), 0u) << "exp(" << x << ") = " << e[i];
+      } else if (std::isinf(std::exp(x))) {
+        EXPECT_EQ(e[i], std::numeric_limits<float>::infinity())
+            << "exp(" << x << ") = " << e[i];
+      }
+      const float want = std::tanh(x);
+      const int64_t d = UlpDistance(t[i], want);
+      if (d > worst_tanh) {
+        worst_tanh = d;
+        worst_tanh_x = x;
+      }
+      EXPECT_EQ(FloatBits(tn[i]), FloatBits(t[i]) ^ 0x80000000u)
+          << "tanh is not odd at " << x;
+      if (std::fabs(x) < 0.0004f) {
+        EXPECT_EQ(FloatBits(t[i]), FloatBits(x)) << "tanh(" << x << ")";
+      }
+      if (std::fabs(want) == 1.0f) {
+        EXPECT_EQ(t[i], want) << "tanh(" << x << ") = " << t[i];
+      }
+    }
+    EXPECT_LE(worst_exp, 2) << "worst exp input " << worst_exp_x;
+    EXPECT_LE(worst_tanh, 8) << "worst tanh input " << worst_tanh_x;
+    // Non-finite inputs.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    float in[5] = {inf, -inf, nan, -nan, 0.0f};
+    float out[5];
+    simd::ExpRow(in, out, 5);
+    EXPECT_EQ(out[0], inf);
+    EXPECT_EQ(FloatBits(out[1]), 0u);
+    EXPECT_TRUE(std::isnan(out[2]) && std::isnan(out[3]));
+    EXPECT_EQ(out[4], 1.0f);
+    simd::TanhRow(in, out, 5);
+    EXPECT_EQ(out[0], 1.0f);
+    EXPECT_EQ(out[1], -1.0f);
+    EXPECT_TRUE(std::isnan(out[2]) && std::isnan(out[3]));
+    EXPECT_EQ(FloatBits(out[4]), 0u);
   }
 }
 

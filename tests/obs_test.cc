@@ -348,6 +348,31 @@ TEST_F(ObsTest, TraceExportIsValidAndWellNested) {
   EXPECT_EQ(obs::TraceSpansRecorded(), 0);
 }
 
+// In a tracing session each backward closure is one span named after its
+// op, category "tensor_op.backward"; outside a session there are none.
+TEST_F(ObsTest, TracedBackwardRecordsOneSpanPerOpClosure) {
+  auto gelu_backward_spans = [] {
+    Rng rng(6);
+    Tensor x = Tensor::Randn({4, 9}, &rng, 1.0f, /*requires_grad=*/true);
+    Sum(Gelu(x)).Backward();
+    JVal root = ParseJsonOrFail(obs::TraceToJson(), "backward trace");
+    int count = 0;
+    for (const JVal& e : root.Get("traceEvents")->arr) {
+      if (e.Get("name")->str == "Gelu" &&
+          e.Get("cat")->str == "tensor_op.backward") {
+        ++count;
+      }
+    }
+    return count;
+  };
+  obs::StartTracing();
+  EXPECT_EQ(gelu_backward_spans(), 1);
+  obs::StopTracing();
+  obs::ClearTrace();
+  EXPECT_EQ(gelu_backward_spans(), 0);
+  obs::ClearTrace();
+}
+
 TEST_F(ObsTest, TrainTelemetrySmoke) {
   data::SyntheticConfig cfg;
   cfg.num_users = 60;
