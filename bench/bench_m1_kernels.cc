@@ -313,10 +313,10 @@ void BM_BiasAddBackwardSimd(benchmark::State& state) {
 BENCHMARK(BM_BiasAddBackwardSimd)->Arg(0)->Arg(1);
 
 // Int8 catalog-dot kernel (docs/KERNELS.md §int8 tier): one activation row
-// against V item-major int8 catalog rows, int32 accumulate. Args = {V,
-// tier}; d fixed at the serving shape (32). Unlike the fp32 rows above the
-// tiers are bitwise identical by integer associativity, not by a fixed
-// accumulation order.
+// against V item-major int8 catalog rows, int32 accumulate, fp32 dequant
+// per row. Args = {V, tier}; d fixed at the serving shape (32). Unlike the
+// fp32 rows above the tiers are bitwise identical by integer associativity,
+// not by a fixed accumulation order.
 void BM_Int8DotSimd(benchmark::State& state) {
   int64_t v = state.range(0);
   auto tier = static_cast<simd::Tier>(state.range(1));
@@ -328,9 +328,12 @@ void BM_Int8DotSimd(benchmark::State& state) {
   std::vector<int8_t> act(kD), cat(v * kD);
   for (auto& c : act) c = static_cast<int8_t>(rng.UniformInt(255)) % 127;
   for (auto& c : cat) c = static_cast<int8_t>(rng.UniformInt(255)) % 127;
-  std::vector<int32_t> out(static_cast<size_t>(v));
+  std::vector<float> scales(static_cast<size_t>(v));
+  for (auto& s : scales) s = rng.Uniform(1e-3f, 2.0f);
+  std::vector<float> out(static_cast<size_t>(v));
   for (auto _ : state) {
-    simd::Int8DotRows(act.data(), cat.data(), out.data(), kD, 0, v);
+    simd::Int8DotDequantRows(act.data(), 0.02f, cat.data(), scales.data(),
+                             out.data(), kD, 0, v);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * v * kD);

@@ -9,7 +9,8 @@
 #      serve_test — the serving micro-batcher must stay race-free —
 #      tcp_server_test — every handoff between the epoll thread and the
 #      dispatcher-thread query completions in the TCP front-end over real
-#      sockets, including the admin HTTP plane and a mid-burst Shutdown —
+#      sockets, including the admin HTTP plane, a mid-burst Shutdown and
+#      the serving-load smoke's scraped per-request accounting —
 #      serve_fuzz_test, whose socket sweep disconnects at every byte offset
 #      while those completions race in —
 #      exposition_test, which scrapes the metrics registry and the span
@@ -52,8 +53,6 @@ run_release() {
   ./build-check-release/bench/bench_m1_alloc --smoke
   echo "=== [release] planned-executor bitwise + latency gate ==="
   ./build-check-release/bench/bench_m1_infer --smoke
-  echo "=== [release] serving-load smoke (TCP front-end under load) ==="
-  ./build-check-release/bench/bench_m1_serve --smoke
   echo "=== [release] serving smoke (selftest bitwise vs offline RecommendTopN) ==="
   ./build-check-release/examples/missl_serve --smoke \
     --queries examples/serve_queries.tsv > /dev/null

@@ -6,9 +6,7 @@
 // Everything here operates on plain-data snapshots — take one with
 // MetricsRegistry::Global().Snapshot() (brief registry lock, relaxed loads)
 // and render it without blocking instrument updates. The admin HTTP
-// endpoint (serve/tcp_server.h) serves PrometheusText at /metrics and
-// SnapshotToJson inside /statusz; bench_m1_serve scrapes /metrics and diffs
-// with SnapshotDelta.
+// endpoint (serve/tcp_server.h) serves PrometheusText at /metrics.
 #ifndef MISSL_OBS_EXPOSITION_H_
 #define MISSL_OBS_EXPOSITION_H_
 

@@ -48,8 +48,8 @@ std::string ErrorToJson(int64_t id, const std::string& message);
 
 /// Renders a query as one protocol line (no trailing newline) — the exact
 /// inverse of ParseQueryLine for queries whose `now` is the newest timestamp
-/// (the only form the wire can carry). Used by the load generator and the
-/// socket tests to speak the protocol from the client side.
+/// (the only form the wire can carry). Used by the benchmark ledger's load
+/// generator and the socket tests to speak the protocol from the client side.
 std::string QueryToLine(int64_t id, const Query& query);
 
 }  // namespace missl::serve

@@ -14,8 +14,9 @@
 // int32 sum of int32 element products. Integer addition is associative, so
 // every implementation (scalar, AVX2, any blocking) that computes the same
 // mathematical sum is bitwise identical — a strictly stronger guarantee than
-// the fp32 tier's fixed-accumulation-order rule. simd::Int8DotRows dispatches
-// to tiered implementations of exactly this contract.
+// the fp32 tier's fixed-accumulation-order rule. The catalog kernels
+// simd::Int8DotDequantRows and simd::Int8DotDequantTile compute exactly this
+// sum on every tier before their fp32 dequant epilogue.
 #ifndef MISSL_TENSOR_QUANT_H_
 #define MISSL_TENSOR_QUANT_H_
 
@@ -49,8 +50,8 @@ void QuantizeRowsSymmetric(const float* x, int64_t rows, int64_t n, int8_t* q,
 void DequantizeRow(const int8_t* q, float scale, float* out, int64_t n);
 
 /// The scalar reference int8 dot: sum over i of int32(a[i]) * int32(b[i]).
-/// This IS the int8 arithmetic contract; simd::Int8DotRows must match it
-/// bitwise on every tier.
+/// This IS the int8 arithmetic contract; the integer dot inside the simd
+/// int8 catalog kernels must match it bitwise on every tier.
 int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n);
 
 }  // namespace missl::quant

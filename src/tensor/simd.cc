@@ -45,10 +45,6 @@ void ExpRow(const float* a, float* o, int64_t n);
 void TanhRow(const float* a, float* o, int64_t n);
 void GeluRow(const float* a, float* o, int64_t n);
 void GeluGradRow(const float* x, const float* g, float* gx, int64_t n);
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1);
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n);
 void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
                         const float* scales, float* o, int64_t k, int64_t r0,
                         int64_t r1);
@@ -123,18 +119,8 @@ Tier ResolveTier() {
 std::atomic<int> g_tier{-1};
 
 // VNNI sub-dispatch state for the int8 kernels, same write-once discipline:
-// -1 = unresolved, else 0/1. Resolved from availability + MISSL_SIMD_VNNI.
+// -1 = unresolved, else 0/1. Resolved from CPU availability alone.
 std::atomic<int> g_vnni{-1};
-
-bool ResolveVnni() {
-  if (!AvxVnniAvailable()) return false;
-  const char* env = std::getenv("MISSL_SIMD_VNNI");
-  if (env != nullptr &&
-      (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -159,7 +145,7 @@ bool AvxVnniAvailable() {
 bool AvxVnniEnabled() {
   int v = g_vnni.load(std::memory_order_relaxed);
   if (v < 0) {
-    bool resolved = ResolveVnni();
+    bool resolved = AvxVnniAvailable();
     int expected = -1;
     if (g_vnni.compare_exchange_strong(expected, resolved ? 1 : 0,
                                        std::memory_order_relaxed)) {
@@ -403,33 +389,11 @@ void GeluGradRow(const float* x, const float* g, float* gx, int64_t n) {
   }
 }
 
-// Integer kernel: unlike the float loops above, this one is the contract
-// only up to the mathematical sum — int32 adds are associative, so any
-// re-blocking (the AVX2 path uses 32-lane maddubs partials) is bitwise
-// identical automatically.
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1) {
-  for (int64_t r = r0; r < r1; ++r) {
-    const int8_t* brow = b + r * k;
-    int32_t acc = 0;
-    for (int64_t i = 0; i < k; ++i) {
-      acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(brow[i]);
-    }
-    o[r] = acc;
-  }
-}
-
-// Dequant epilogue: per-element fixed rounding sequence (convert, two
-// multiplies); the AVX2 path replays it lane-wise, so tiers agree bitwise.
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = (act_scale * scales[i]) * static_cast<float>(acc[i]);
-  }
-}
-
-// Fused dot + dequant: the integer sum is exact and the epilogue replays
-// DequantRow's per-element sequence, so fused == composed, bitwise.
+// Int8 dot + dequant. Unlike the float loops above, the integer dot is the
+// contract only up to the mathematical sum — int32 adds are associative, so
+// any re-blocking (the AVX2 path uses 32-lane maddubs partials) is bitwise
+// identical automatically. The epilogue is a fixed per-element rounding
+// sequence (convert, two multiplies) that the AVX2 path replays lane-wise.
 void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
                         const float* scales, float* o, int64_t k, int64_t r0,
                         int64_t r1) {
@@ -554,16 +518,6 @@ void GeluRow(const float* a, float* o, int64_t n) {
 
 void GeluGradRow(const float* x, const float* g, float* gx, int64_t n) {
   MISSL_SIMD_DISPATCH(GeluGradRow, x, g, gx, n);
-}
-
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1) {
-  MISSL_SIMD_DISPATCH(Int8DotRows, a, b, o, k, r0, r1);
-}
-
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n) {
-  MISSL_SIMD_DISPATCH(DequantRow, acc, act_scale, scales, out, n);
 }
 
 void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,

@@ -22,6 +22,13 @@
 //     a == 0.0f contributes nothing on every tier).
 // Under these rules scalar, AVX2, and threaded×AVX2 execution produce
 // bitwise-identical tensors, which tests/kernel_property_test.cc enforces.
+// The one exception is the NaN payload: every result that is not NaN is
+// bitwise identical across tiers, and a NaN result is NaN on every tier,
+// but its sign and payload are unspecified. When both operands of a
+// two-input operation are NaN, x86 returns the NaN of the instruction's
+// first source, and the scalar and vector paths need not order their
+// operands alike: ScaleRow({+NaN}, -NaN) gives 0x7fc00000 on the scalar
+// tier and 0xffc00000 on AVX2.
 //
 // Selection: the MISSL_SIMD environment variable ("off"/"0"/"scalar"
 // forces the portable tier, "avx2" requests AVX2, unset/"auto"/"on"
@@ -33,8 +40,8 @@
 // to AVX-VNNI (vpdpbusd) when the CPU has it: one instruction replaces the
 // sign-trick maddubs/madd pair and accumulates u8 x s8 quads into int32
 // exactly — no int16 intermediate at all, so the result is the same exact
-// integer sum and the sub-tier stays bitwise invisible. MISSL_SIMD_VNNI=off
-// (or "0") disables it; the resolved state is on the "simd.vnni" gauge.
+// integer sum and the sub-tier stays bitwise invisible. The resolved state
+// is on the "simd.vnni" gauge.
 #ifndef MISSL_TENSOR_SIMD_H_
 #define MISSL_TENSOR_SIMD_H_
 
@@ -65,9 +72,8 @@ bool Avx2Available();
 /// (the 256-bit vpdpbusd extension; CPUID leaf 7.1 EAX bit 4).
 bool AvxVnniAvailable();
 
-/// True when the int8 kernels' AVX2 path will use vpdpbusd: available, not
-/// disabled by MISSL_SIMD_VNNI=off, and not overridden by SetAvxVnni.
-/// Resolved once on first use, then cached.
+/// True when the int8 kernels' AVX2 path will use vpdpbusd: available and
+/// not overridden by SetAvxVnni. Resolved once on first use, then cached.
 bool AvxVnniEnabled();
 
 /// Overrides the VNNI sub-dispatch (tests/benches compare the maddubs and
@@ -205,32 +211,19 @@ void GeluGradRow(const float* x, const float* g, float* gx, int64_t n);
 /// plan, so their outputs agree bit for bit.
 void SoftmaxRow(const float* x, float* y, int64_t n);
 
-/// o[r] = sum over i of int32(a[i]) * int32(b[r*k + i]) for rows r in
-/// [r0, r1): one quantized activation row dotted against rows of a row-major
-/// int8 matrix (the item-major quantized catalog). The contract is
-/// quant::Int8DotRef (tensor/quant.h): a plain int32 sum of element
-/// products. Integer accumulation is order-free, so every tier is bitwise
-/// identical by arithmetic — stronger than the fp32 kernels' fixed-order
-/// rule, and the AVX2 maddubs path may therefore re-block freely. Inputs
-/// must be quantization codes in [-127, 127]; -128 would let a maddubs pair
-/// sum saturate int16.
-void Int8DotRows(const int8_t* a, const int8_t* b, int32_t* o, int64_t k,
-                 int64_t r0, int64_t r1);
-
-/// out[i] = (act_scale * scales[i]) * float(acc[i]) — the fp32 dequant
-/// epilogue of the int8 catalog tier. Per element: one int32->fp32 convert
-/// and two multiplies, each individually rounded in that fixed sequence; the
-/// AVX2 path applies the identical sequence lane-wise (no FMA, no
-/// reassociation), so the tiers agree bitwise.
-void DequantRow(const int32_t* acc, float act_scale, const float* scales,
-                float* out, int64_t n);
-
 /// o[r] = (act_scale * scales[r]) * float(dot(a, b[r,:])) for rows r in
-/// [r0, r1): Int8DotRows with the DequantRow epilogue fused per output. The
-/// integer dot is exact on every tier and the dequant applies DequantRow's
-/// per-element sequence (convert, two rounded multiplies, no FMA), so the
-/// fused kernel is bitwise identical to the two-kernel composition — while
-/// skipping the int32 scratch row's write+read round trip entirely.
+/// [r0, r1): one quantized activation row dotted against rows of a row-major
+/// int8 matrix (the item-major quantized catalog), dequantized per output.
+/// The dot's contract is quant::Int8DotRef (tensor/quant.h): a plain int32
+/// sum of element products. Integer accumulation is order-free, so the dot
+/// is bitwise identical on every tier by arithmetic — stronger than the fp32
+/// kernels' fixed-order rule, and the AVX2 maddubs path may therefore
+/// re-block freely. Inputs must be quantization codes in [-127, 127]; -128
+/// would let a maddubs pair sum saturate int16. The dequant is one
+/// int32->fp32 convert and two multiplies, each individually rounded in that
+/// fixed sequence; the AVX2 path applies it lane-wise (no FMA, no
+/// reassociation), so the tiers agree bitwise. The int32 totals never touch
+/// memory.
 void Int8DotDequantRows(const int8_t* a, float act_scale, const int8_t* b,
                         const float* scales, float* o, int64_t k, int64_t r0,
                         int64_t r1);

@@ -1,7 +1,7 @@
 // Tests for the exposition layer (obs/exposition.h) and the span store
 // (obs/trace.h): Prometheus text validity (validated end-to-end
-// through serve::ParsePrometheusText, the same strict parser the bench and
-// CI scrape checks use), name/label sanitization, snapshot JSON/delta/
+// through testutil::ParsePrometheusText, the same strict parser the socket
+// scrape tests use), name/label sanitization, snapshot JSON/delta/
 // percentile semantics, ring behavior (overwrite-oldest at fixed capacity
 // outside a session, growth to the session bound with an overwritten count,
 // clear), and a concurrent scrape-while-updating run that the TSan CI leg
@@ -22,16 +22,18 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/loadgen.h"
 #include "utils/rng.h"
 
 #include "json_test_util.h"
+#include "prom_test_util.h"
 
 namespace missl {
 namespace {
 
 using testutil::JVal;
 using testutil::ParseJsonOrFail;
+using testutil::ParsePrometheusText;
+using testutil::PromHistogram;
 
 // Metrics are opt-in. Every test here turns them on, starts from empty
 // rings, and restores the defaults so cross-test state stays predictable.
@@ -80,8 +82,8 @@ TEST_F(ExpositionTest, PrometheusTextParsesAndRoundTripsValues) {
   std::string text = obs::PrometheusText(reg.Snapshot());
 
   std::map<std::string, double> scalars;
-  std::map<std::string, serve::PromHistogram> histograms;
-  ASSERT_TRUE(serve::ParsePrometheusText(text, &scalars, &histograms))
+  std::map<std::string, PromHistogram> histograms;
+  ASSERT_TRUE(ParsePrometheusText(text, &scalars, &histograms))
       << "PrometheusText output rejected by the scrape parser:\n"
       << text;
 
@@ -91,7 +93,7 @@ TEST_F(ExpositionTest, PrometheusTextParsesAndRoundTripsValues) {
   EXPECT_EQ(scalars["expo_test_depth"], -7);
 
   ASSERT_TRUE(histograms.count("expo_test_latency_ns"));
-  const serve::PromHistogram& ph = histograms["expo_test_latency_ns"];
+  const PromHistogram& ph = histograms["expo_test_latency_ns"];
   EXPECT_EQ(ph.count, h.count());
   EXPECT_EQ(ph.sum, h.sum());
   // Cumulative-monotone with a final +Inf equal to _count is enforced by
@@ -511,8 +513,8 @@ TEST_F(ExpositionTest, ConcurrentScrapeWhileUpdating) {
     while (done.load() < kThreads) {
       std::string text = obs::PrometheusText(reg.Snapshot());
       std::map<std::string, double> scalars;
-      std::map<std::string, serve::PromHistogram> histograms;
-      ASSERT_TRUE(serve::ParsePrometheusText(text, &scalars, &histograms))
+      std::map<std::string, PromHistogram> histograms;
+      ASSERT_TRUE(ParsePrometheusText(text, &scalars, &histograms))
           << "mid-update scrape must still be well-formed";
       ASSERT_GE(CountTraceEvents(obs::TraceToJson(), "live dump"), 0);
       if (++scrapes == 1 && open_session) obs::StartTracing();

@@ -4,6 +4,8 @@
 // op with a vectorized path, scalar vs AVX2 vs threaded×AVX2 execution must
 // produce bitwise-identical tensors — forward AND backward — at any shape,
 // including ragged tails narrower than one vector width and size-0/1 edges.
+// A NaN result only has to be NaN on every tier; its sign and payload are
+// unspecified (tensor/simd.h), and the row-kernel sweeps check exactly that.
 // This file enforces that with randomized shape sweeps (memcmp, not
 // EXPECT_NEAR), runs gradcheck on the SIMD tier, pins the tier
 // dispatch/gauge plumbing, checks the contiguity guard, and locks the whole
@@ -276,14 +278,30 @@ std::vector<float> SpecialInputs() {
   return v;
 }
 
-// Every row kernel of the transcendental family, as one signature:
-// (x, g, o, n) where o is the output (accumulated into by GeluGradRow).
+// The tier contract for NaN results (tensor/simd.h): a NaN must be NaN on
+// every tier, but its sign and payload are unspecified, because which of
+// two NaN operands x86 returns depends on operand order. Mapping every NaN
+// to one value before a bitwise compare checks every other bit exactly.
+std::vector<float> CanonNan(std::vector<float> v) {
+  for (float& f : v) {
+    if (std::isnan(f)) f = std::numeric_limits<float>::quiet_NaN();
+  }
+  return v;
+}
+
+// Every row kernel of the transcendental family, and the two-input kernels
+// whose NaN results depend on operand order, as one signature: (x, g, o, n)
+// where o is the output (accumulated into by GeluGradRow) and ScaleRow's
+// scalar is g[0]. nan_pairs marks the two-input kernels, which also get
+// opposite-sign NaN pairs in x and g; the others keep inputs that are
+// mostly finite, since one NaN poisons a whole SoftmaxRow row.
 struct RowKernelCase {
   const char* name;
   std::function<void(const float*, const float*, float*, int64_t)> run;
+  bool nan_pairs = false;
 };
 
-std::vector<RowKernelCase> TranscendentalKernels() {
+std::vector<RowKernelCase> RowKernels() {
   return {
       {"ExpRow", [](const float* x, const float*, float* o,
                     int64_t n) { simd::ExpRow(x, o, n); }},
@@ -296,27 +314,46 @@ std::vector<RowKernelCase> TranscendentalKernels() {
       {"SoftmaxRow", [](const float* x, const float*, float* o, int64_t n) {
          if (n > 0) simd::SoftmaxRow(x, o, n);
        }},
+      {"AddRow", [](const float* x, const float* g, float* o,
+                    int64_t n) { simd::AddRow(x, g, o, n); },
+       true},
+      {"MulRow", [](const float* x, const float* g, float* o,
+                    int64_t n) { simd::MulRow(x, g, o, n); },
+       true},
+      {"ScaleRow", [](const float* x, const float* g, float* o, int64_t n) {
+         if (n > 0) simd::ScaleRow(x, g[0], o, n);
+       },
+       true},
   };
 }
 
 // Each kernel on lengths 0..67 at every offset 0..7 from a 32-byte boundary
 // (so full vectors, masked tails and unaligned rows all occur), on inputs
-// mixing random values in [-12, 12] with the special values, must return
-// the scalar tier's bits on every tier, in and out of place.
-TEST(KernelPropertyTest, TranscendentalRowsBitwiseAcrossTiers) {
+// mixing random values in [-12, 12] with the special values (and, for the
+// two-input kernels, with NaN pairs of opposite sign in x and g), must
+// return the scalar tier's bits on every tier, in and out of place, up to
+// the NaN rule of CanonNan.
+TEST(KernelPropertyTest, RowKernelsBitwiseAcrossTiers) {
   Rng rng(9090);
   const std::vector<float> special = SpecialInputs();
-  for (const RowKernelCase& k : TranscendentalKernels()) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const RowKernelCase& k : RowKernels()) {
     for (int64_t n = 0; n <= 67; ++n) {
       for (int64_t off = 0; off < 8; ++off) {
         std::vector<float> x(static_cast<size_t>(n));
         std::vector<float> g(static_cast<size_t>(n));
         std::vector<float> o0(static_cast<size_t>(n));
         for (int64_t i = 0; i < n; ++i) {
-          x[i] = rng.Uniform() < 0.3f
-                     ? special[rng.UniformInt(special.size())]
-                     : rng.Uniform(-12.0f, 12.0f);
-          g[i] = rng.Uniform(-2.0f, 2.0f);
+          const float u = k.nan_pairs ? rng.Uniform() : 1.0f;
+          if (u < 0.1f) {
+            x[i] = u < 0.05f ? nan : -nan;
+            g[i] = -x[i];
+          } else {
+            x[i] = rng.Uniform() < 0.3f
+                       ? special[rng.UniformInt(special.size())]
+                       : rng.Uniform(-12.0f, 12.0f);
+            g[i] = rng.Uniform(-2.0f, 2.0f);
+          }
           o0[i] = rng.Uniform() < 0.2f ? -0.0f : rng.Uniform(-1.0f, 1.0f);
         }
         auto run = [&](Tier tier, bool in_place) {
@@ -331,24 +368,12 @@ TEST(KernelPropertyTest, TranscendentalRowsBitwiseAcrossTiers) {
           k.run(px, pg, po, n);
           return std::vector<float>(po, po + n);
         };
-        // SoftmaxRow's max shift turns an inf into the default NaN, which
-        // then meets an input NaN of the other sign in ScaleRow; which of
-        // two NaN operands an x86 multiply returns depends on operand order,
-        // which the compiler may commute in the scalar loop. Every NaN is
-        // therefore compared as one value there, every other bit exactly.
-        const bool any_nan = k.name == std::string("SoftmaxRow");
-        auto canon = [any_nan](std::vector<float> v) {
-          for (float& f : v) {
-            if (any_nan && std::isnan(f)) f = std::nanf("");
-          }
-          return v;
-        };
         // GeluGradRow accumulates into its output, so it has no in-place form.
         for (bool in_place : {false, true}) {
           if (in_place && k.name == std::string("GeluGradRow")) continue;
-          const std::vector<float> ref = canon(run(Tier::kScalar, in_place));
+          const std::vector<float> ref = CanonNan(run(Tier::kScalar, in_place));
           for (Tier tier : TiersToTest()) {
-            ExpectBitwise(ref, canon(run(tier, in_place)),
+            ExpectBitwise(ref, CanonNan(run(tier, in_place)),
                           std::string(k.name) + " tier=" +
                               simd::TierName(tier) + " n=" +
                               std::to_string(n) + " off=" +

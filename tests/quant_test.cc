@@ -5,9 +5,10 @@
 //   1. Quantization arithmetic: symmetric per-row scales, codes clamped to
 //      ±127 (never -128), all-zero rows quantize without dividing, and the
 //      round-trip error is bounded by scale / 2.
-//   2. Kernel parity: simd::Int8DotRows matches quant::Int8DotRef bitwise on
-//      every tier — integer accumulation is order-free, so this holds for
-//      any blocking by construction, and we verify it anyway.
+//   2. Kernel parity: the integer dot inside simd::Int8DotDequantRows
+//      matches quant::Int8DotRef bitwise on every tier — integer
+//      accumulation is order-free, so this holds for any blocking by
+//      construction, and we verify it anyway.
 //   3. Plan-level: a quantize_catalog plan is bitwise deterministic across
 //      SIMD tiers x thread counts, allocates nothing in steady state, and
 //      ranks close enough to fp32 (NDCG@10 / top-10 overlap bounds below).
@@ -145,7 +146,8 @@ TEST(QuantizeTest, RandomRowsRoundTripBoundAndStats) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Kernel parity: Int8DotRows vs the Int8DotRef contract, every tier.
+// 2. Kernel parity: the int8 catalog kernels vs the Int8DotRef contract,
+//    every tier.
 // ---------------------------------------------------------------------------
 
 // Tier x VNNI configurations the int8 kernels can dispatch to: scalar, AVX2
@@ -165,6 +167,15 @@ std::vector<KernelConfig> KernelConfigs() {
   return cfgs;
 }
 
+// The kernel's integer dot read back exactly: with act_scale = 1 and unit
+// row scales the dequant is (1 * 1) * float(dot), and float(dot) is exact
+// while |dot| <= 127^2 * k < 2^24, i.e. for every k <= 1040 used here.
+void UnitScaleDots(const int8_t* a, const int8_t* b, float* o, int64_t k,
+                   int64_t r0, int64_t r1) {
+  const std::vector<float> ones(static_cast<size_t>(r1), 1.0f);
+  simd::Int8DotDequantRows(a, 1.0f, b, ones.data(), o, k, r0, r1);
+}
+
 TEST(Int8DotTest, MatchesReferenceOnEveryTierAndRaggedLengths) {
   Rng rng(7);
   // Lengths straddle the 32-lane AVX2 block and the 4-row unroll.
@@ -173,29 +184,33 @@ TEST(Int8DotTest, MatchesReferenceOnEveryTierAndRaggedLengths) {
     std::vector<int8_t> a(k), b(kR * k);
     for (auto& v : a) v = static_cast<int8_t>(rng.UniformInt(255)) % 127;
     for (auto& v : b) v = static_cast<int8_t>(rng.UniformInt(255)) % 127;
-    std::vector<int32_t> want(kR);
+    std::vector<float> want(kR);
     for (int64_t r = 0; r < kR; ++r) {
-      want[static_cast<size_t>(r)] = quant::Int8DotRef(a.data(),
-                                                       b.data() + r * k, k);
+      want[static_cast<size_t>(r)] = static_cast<float>(
+          quant::Int8DotRef(a.data(), b.data() + r * k, k));
     }
     for (const KernelConfig& cfg : KernelConfigs()) {
       simd::ScopedTier guard(cfg.tier);
       simd::ScopedAvxVnni vguard(cfg.vnni);
-      std::vector<int32_t> got(kR, -999);
-      simd::Int8DotRows(a.data(), b.data(), got.data(), k, 0, kR);
+      std::vector<float> got(kR, -999.0f);
+      UnitScaleDots(a.data(), b.data(), got.data(), k, 0, kR);
       for (int64_t r = 0; r < kR; ++r) {
-        EXPECT_EQ(got[static_cast<size_t>(r)], want[static_cast<size_t>(r)])
+        const size_t i = static_cast<size_t>(r);
+        EXPECT_EQ(std::memcmp(&got[i], &want[i], sizeof(float)), 0)
             << "k=" << k << " row=" << r << " tier="
-            << simd::TierName(cfg.tier) << " vnni=" << cfg.vnni;
+            << simd::TierName(cfg.tier) << " vnni=" << cfg.vnni
+            << " got=" << got[i] << " want=" << want[i];
       }
       // Partial row ranges must write exactly [r0, r1).
-      std::vector<int32_t> part(kR, -999);
-      simd::Int8DotRows(a.data(), b.data(), part.data(), k, 2,
-                        std::min<int64_t>(kR, 6));
+      std::vector<float> part(kR, -999.0f);
+      UnitScaleDots(a.data(), b.data(), part.data(), k, 2,
+                    std::min<int64_t>(kR, 6));
       for (int64_t r = 2; r < std::min<int64_t>(kR, 6); ++r) {
-        EXPECT_EQ(part[static_cast<size_t>(r)], want[static_cast<size_t>(r)]);
+        const size_t i = static_cast<size_t>(r);
+        EXPECT_EQ(std::memcmp(&part[i], &want[i], sizeof(float)), 0);
       }
-      EXPECT_EQ(part[0], -999);
+      EXPECT_EQ(part[0], -999.0f);
+      EXPECT_EQ(part[kR - 1], -999.0f);
     }
   }
 }
@@ -213,24 +228,25 @@ TEST(Int8DotTest, ExtremeCodesNeverSaturateTheInt16Intermediate) {
     for (const KernelConfig& cfg : KernelConfigs()) {
       simd::ScopedTier guard(cfg.tier);
       simd::ScopedAvxVnni vguard(cfg.vnni);
-      int32_t got = 0;
-      simd::Int8DotRows(a.data(), b.data(), &got, k, 0, 1);
-      EXPECT_EQ(got, want_pp) << "k=" << k << " tier="
-                              << simd::TierName(cfg.tier)
-                              << " vnni=" << cfg.vnni;
-      simd::Int8DotRows(a.data(), c.data(), &got, k, 0, 1);
-      EXPECT_EQ(got, want_pn) << "k=" << k << " tier="
-                              << simd::TierName(cfg.tier)
-                              << " vnni=" << cfg.vnni;
+      float got = 0.0f;
+      UnitScaleDots(a.data(), b.data(), &got, k, 0, 1);
+      EXPECT_EQ(got, static_cast<float>(want_pp))
+          << "k=" << k << " tier=" << simd::TierName(cfg.tier)
+          << " vnni=" << cfg.vnni;
+      UnitScaleDots(a.data(), c.data(), &got, k, 0, 1);
+      EXPECT_EQ(got, static_cast<float>(want_pn))
+          << "k=" << k << " tier=" << simd::TierName(cfg.tier)
+          << " vnni=" << cfg.vnni;
     }
   }
 }
 
 TEST(Int8DotTest, FusedDotDequantMatchesComposedOnEveryTier) {
-  // Int8DotDequantRows must be bitwise identical to Int8DotRows followed by
-  // DequantRow, on every tier, for ragged lengths (exercising the preload,
-  // tail-k, and remainder-row paths) and partial row ranges. The k > 64
-  // cases exceed the AVX2 activation preload window and take its fallback.
+  // Int8DotDequantRows must be bitwise identical to the reference dot
+  // followed by the dequant sequence (act_scale * scales[r]) * float(dot),
+  // on every tier, for ragged lengths (exercising the preload, tail-k, and
+  // remainder-row paths) and partial row ranges. The k > 64 cases exceed
+  // the AVX2 activation preload window and take its fallback.
   Rng rng(23);
   for (int64_t k : {1, 31, 32, 33, 96, 100, 260}) {
     constexpr int64_t kR = 11;
@@ -240,13 +256,12 @@ TEST(Int8DotTest, FusedDotDequantMatchesComposedOnEveryTier) {
     const float act_scale = 0.037f;
     std::vector<float> scales(kR);
     for (auto& s : scales) s = rng.Uniform(1e-3f, 2.0f);
-    // Composed reference on the scalar tier.
-    std::vector<int32_t> acc(kR);
     std::vector<float> want(kR);
-    {
-      simd::ScopedTier guard(simd::Tier::kScalar);
-      simd::Int8DotRows(a.data(), b.data(), acc.data(), k, 0, kR);
-      simd::DequantRow(acc.data(), act_scale, scales.data(), want.data(), kR);
+    for (int64_t r = 0; r < kR; ++r) {
+      const size_t i = static_cast<size_t>(r);
+      want[i] = (act_scale * scales[i]) *
+                static_cast<float>(
+                    quant::Int8DotRef(a.data(), b.data() + r * k, k));
     }
     for (const KernelConfig& cfg : KernelConfigs()) {
       simd::ScopedTier guard(cfg.tier);

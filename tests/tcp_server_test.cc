@@ -1,6 +1,7 @@
 // Socket-level tests for the epoll TCP front-end (serve/tcp_server.h).
 // These drive a real TcpServer over loopback sockets — the same code path
 // the bench and the CLI use — and lock the serving invariants:
+//   - the line protocol round-trips every query the clients draw;
 //   - answers delivered over TCP are bitwise-identical to offline
 //     RecommendTopN, under 8 concurrent pipelining client threads;
 //   - graceful shutdown drains in-flight queries to completion while late
@@ -12,7 +13,10 @@
 //   - the admin plane (/metrics /healthz /statusz /tracez) answers during
 //     query load without perturbing answers, flips /healthz to 503 while
 //     draining, and turns malformed/oversized HTTP into 4xx without
-//     disturbing the query plane.
+//     disturbing the query plane;
+//   - two real /metrics scrapes around a pipelined multi-connection load
+//     account for every request in serve.requests and in each of the six
+//     serve.stage.* histograms.
 // tcp_server_test runs in the TSan CI job, so every cross-thread handoff in
 // the server is exercised under the race detector here.
 #include "serve/tcp_server.h"
@@ -37,18 +41,20 @@
 #include "core/recommend.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
-#include "serve/loadgen.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "utils/rng.h"
 
 #include "json_test_util.h"
+#include "prom_test_util.h"
 
 namespace missl {
 namespace {
 
 using testutil::JVal;
 using testutil::ParseJsonOrFail;
+using testutil::ParsePrometheusText;
+using testutil::PromHistogram;
 
 constexpr int32_t kItems = 60;
 constexpr int32_t kBehaviors = 3;
@@ -177,6 +183,19 @@ int64_t ExtractId(const std::string& response) {
   return std::strtoll(response.c_str() + pos + 5, nullptr, 10);
 }
 
+// Turns the metrics registry on for one test and restores the previous
+// setting on every way out of it, a failed ASSERT included.
+class ScopedMetricsOn {
+ public:
+  ScopedMetricsOn() : was_on_(obs::MetricsEnabled()) {
+    obs::SetMetricsEnabled(true);
+  }
+  ~ScopedMetricsOn() { obs::SetMetricsEnabled(was_on_); }
+
+ private:
+  bool was_on_;
+};
+
 // The offline reference: one big RecommendTopN batch over all queries,
 // trimmed to each query's k and rendered through the same JSON formatter
 // the server uses, keyed by protocol id. String comparison makes the
@@ -205,6 +224,26 @@ std::map<int64_t, std::string> OfflineExpected(
     expected[parsed[i].id] = serve::TopKToJson(parsed[i].id, trimmed);
   }
   return expected;
+}
+
+TEST(TcpServerTest, WireQueriesRoundTripThroughTheLineProtocol) {
+  // Every client here speaks through QueryToLine: the server must parse back
+  // exactly the query that was drawn, or the offline comparisons below would
+  // be made against a different query.
+  Rng rng(123);
+  for (int64_t id = 0; id < 200; ++id) {
+    const serve::Query q = RandomWireQuery(&rng);
+    serve::ParsedQuery back;
+    Status s = serve::ParseQueryLine(serve::QueryToLine(id, q), &back);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(back.id, id);
+    EXPECT_EQ(back.query.items, q.items);
+    EXPECT_EQ(back.query.behaviors, q.behaviors);
+    EXPECT_EQ(back.query.timestamps, q.timestamps);
+    EXPECT_EQ(back.query.now, q.now);
+    EXPECT_EQ(back.query.exclude, q.exclude);
+    EXPECT_EQ(back.query.k, q.k);
+  }
 }
 
 TEST(TcpServerTest, EightClientThreadsBitwiseMatchOffline) {
@@ -384,8 +423,7 @@ TEST(TcpServerTest, ShutdownDuringBatchesAnswersEveryPipelinedRequestOnce) {
   std::map<int64_t, std::string> expected =
       OfflineExpected(offline.get(), parsed);
 
-  const bool metrics_were_on = obs::MetricsEnabled();
-  obs::SetMetricsEnabled(true);
+  ScopedMetricsOn metrics_on;
   obs::Counter& lines = obs::MetricsRegistry::Global().GetCounter(
       "serve.tcp.lines");
   const int64_t lines_before = lines.value();
@@ -437,7 +475,6 @@ TEST(TcpServerTest, ShutdownDuringBatchesAnswersEveryPipelinedRequestOnce) {
   }
   shutdown.join();
   server.reset();
-  obs::SetMetricsEnabled(metrics_were_on);
   ASSERT_EQ(answers.size(), static_cast<size_t>(kConns * kPerConn));
   for (int i = 0; i < kConns * kPerConn; ++i) {
     EXPECT_EQ(answers[parsed[static_cast<size_t>(i)].id], 1) << "query " << i;
@@ -563,24 +600,69 @@ TEST(TcpServerTest, HalfClosedPeerStillReceivesItsAnswers) {
 }
 
 // Reads whatever the peer sends until EOF (admin responses are one-shot:
-// the server closes after the flush).
-std::string RecvAll(int fd) {
+// the server closes after the flush). *clean_eof, when given, tells a clean
+// close from a recv error or the socket's 30 s receive timeout.
+std::string RecvAll(int fd, bool* clean_eof = nullptr) {
   std::string out;
   char tmp[4096];
   for (;;) {
     ssize_t r = ::recv(fd, tmp, sizeof(tmp), 0);
-    if (r <= 0) return out;
+    if (r <= 0) {
+      if (clean_eof != nullptr) *clean_eof = r == 0;
+      return out;
+    }
     out.append(tmp, static_cast<size_t>(r));
   }
 }
 
+// One admin-plane answer: the status-line code and the body.
+struct HttpResponse {
+  int code = 0;
+  std::string body;
+};
+
+// One HTTP/1.0 GET against the admin endpoint. False when the connect is
+// refused, the read ends in an error or a stall rather than the server's
+// close, or the response lacks a "HTTP/1.x <code>" status line, the header
+// terminator or a Content-Length that matches the body; 4xx/5xx answers
+// return true with the code set.
+bool HttpGet(int port, const std::string& path, HttpResponse* out) {
+  int fd = ConnectLoopback(port);
+  if (fd < 0) return false;
+  SendAllBytes(fd, "GET " + path + " HTTP/1.0\r\n\r\n");
+  bool clean_eof = false;
+  const std::string raw = RecvAll(fd, &clean_eof);
+  ::close(fd);
+  const size_t head_end = raw.find("\r\n\r\n");
+  if (!clean_eof || raw.rfind("HTTP/1.", 0) != 0 || raw.size() < 12 ||
+      raw[8] != ' ' || head_end == std::string::npos) {
+    return false;
+  }
+  out->code = 0;
+  for (size_t i = 9; i < 12; ++i) {
+    if (raw[i] < '0' || raw[i] > '9') return false;
+    out->code = out->code * 10 + (raw[i] - '0');
+  }
+  const std::string kLength = "\r\nContent-Length: ";
+  const size_t len_at = raw.find(kLength);
+  if (len_at == std::string::npos || len_at >= head_end) return false;
+  out->body = raw.substr(head_end + 4);
+  return std::strtoull(raw.c_str() + len_at + kLength.size(), nullptr, 10) ==
+         out->body.size();
+}
+
 TEST(TcpServerTest, AdminEndpointsServeDuringLoadWithoutPerturbingAnswers) {
-  // Same bitwise-vs-offline workload as the eight-thread test, with a
-  // scraper hammering every admin endpoint the whole time. The query
-  // answers must not change by a byte, and every scrape must come back
-  // well-formed — introspection is read-only.
+  // Same bitwise-vs-offline workload as the eight-thread test, with metrics
+  // on and a scraper hammering every admin endpoint the whole time. The
+  // query answers must not change by a byte, every scrape must come back
+  // well-formed (introspection is read-only), and the /metrics deltas
+  // across the load must count each request once: serve.requests and every
+  // serve.stage.* family, the per-stage breakdown as a scraper reads it.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 8;
+  constexpr int64_t kTotal = kThreads * kPerThread;
+  const char* const kStages[] = {"parse", "queue", "batch",
+                                 "score", "rank",  "write"};
   std::vector<std::vector<serve::ParsedQuery>> per_thread(kThreads);
   std::vector<serve::ParsedQuery> all;
   for (int t = 0; t < kThreads; ++t) {
@@ -597,6 +679,14 @@ TEST(TcpServerTest, AdminEndpointsServeDuringLoadWithoutPerturbingAnswers) {
   std::map<int64_t, std::string> expected =
       OfflineExpected(offline_model.get(), all);
 
+  ScopedMetricsOn metrics_on;
+  // The serving metrics register on first use; registering them here puts
+  // every family in the scrape taken before the load too.
+  obs::MetricsRegistry::Global().GetCounter("serve.requests");
+  for (const char* stage : kStages) {
+    obs::MetricsRegistry::Global().GetHistogram(std::string("serve.stage.") +
+                                                stage + "_ns");
+  }
   std::string path = CkptPath("tcp_admin_load.bin");
   ASSERT_TRUE(nn::SaveParameters(*offline_model, path).ok());
   serve::ServeConfig scfg;
@@ -614,33 +704,45 @@ TEST(TcpServerTest, AdminEndpointsServeDuringLoadWithoutPerturbingAnswers) {
   ASSERT_NE(server, nullptr) << status.ToString();
   ASSERT_GT(server->admin_port(), 0);
 
+  struct Scrape {
+    std::map<std::string, double> scalars;
+    std::map<std::string, PromHistogram> hists;
+  };
+  auto scrape = [&](Scrape* out) {
+    HttpResponse r;
+    ASSERT_TRUE(HttpGet(server->admin_port(), "/metrics", &r));
+    ASSERT_EQ(r.code, 200);
+    ASSERT_TRUE(ParsePrometheusText(r.body, &out->scalars, &out->hists))
+        << "malformed /metrics:\n"
+        << r.body;
+  };
+  Scrape base;
+  ASSERT_NO_FATAL_FAILURE(scrape(&base));
+  ASSERT_EQ(base.scalars.count("serve_requests"), 1u);
+  for (const char* stage : kStages) {
+    const std::string fam = std::string("serve_stage_") + stage + "_ns";
+    ASSERT_EQ(base.hists.count(fam), 1u) << fam << " missing before load";
+  }
+
   std::atomic<bool> load_done{false};
   std::atomic<int> scrapes{0};
   std::thread scraper([&] {
     bool final_pass = false;
     for (;;) {
-      serve::HttpResponse r;
-      ASSERT_TRUE(
-          serve::HttpGet("127.0.0.1", server->admin_port(), "/healthz", &r)
-              .ok());
+      HttpResponse r;
+      ASSERT_TRUE(HttpGet(server->admin_port(), "/healthz", &r));
       EXPECT_EQ(r.code, 200);
       EXPECT_EQ(r.body, "ok\n");
-      ASSERT_TRUE(
-          serve::HttpGet("127.0.0.1", server->admin_port(), "/metrics", &r)
-              .ok());
+      ASSERT_TRUE(HttpGet(server->admin_port(), "/metrics", &r));
       EXPECT_EQ(r.code, 200);
-      std::map<std::string, serve::PromHistogram> hists;
-      EXPECT_TRUE(serve::ParsePrometheusText(r.body, nullptr, &hists))
+      std::map<std::string, PromHistogram> hists;
+      EXPECT_TRUE(ParsePrometheusText(r.body, nullptr, &hists))
           << "malformed /metrics under load";
-      ASSERT_TRUE(
-          serve::HttpGet("127.0.0.1", server->admin_port(), "/statusz", &r)
-              .ok());
+      ASSERT_TRUE(HttpGet(server->admin_port(), "/statusz", &r));
       EXPECT_EQ(r.code, 200);
       JVal statusz = ParseJsonOrFail(r.body, "/statusz");
       EXPECT_NE(statusz.Get("stages"), nullptr);
-      ASSERT_TRUE(
-          serve::HttpGet("127.0.0.1", server->admin_port(), "/tracez", &r)
-              .ok());
+      ASSERT_TRUE(HttpGet(server->admin_port(), "/tracez", &r));
       EXPECT_EQ(r.code, 200);
       JVal tracez = ParseJsonOrFail(r.body, "/tracez");
       EXPECT_NE(tracez.Get("traceEvents"), nullptr);
@@ -685,10 +787,35 @@ TEST(TcpServerTest, AdminEndpointsServeDuringLoadWithoutPerturbingAnswers) {
       EXPECT_EQ(it->second, expected[p.id]) << "id " << p.id;
     }
   }
+
+  // write_ns is observed after an answer's last byte leaves the server,
+  // which can trail the client's read of it: poll until the write stage
+  // has counted every request (bounded at ~10 s).
+  const int64_t write_base = base.hists.at("serve_stage_write_ns").count;
+  Scrape cur;
+  for (int spin = 0; spin < 1000; ++spin) {
+    cur = Scrape();
+    ASSERT_NO_FATAL_FAILURE(scrape(&cur));
+    auto it = cur.hists.find("serve_stage_write_ns");
+    if (it != cur.hists.end() && it->second.count - write_base >= kTotal) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(cur.scalars.count("serve_requests"), 1u);
+  EXPECT_EQ(
+      cur.scalars.at("serve_requests") - base.scalars.at("serve_requests"),
+      static_cast<double>(kTotal));
+  for (const char* stage : kStages) {
+    const std::string fam = std::string("serve_stage_") + stage + "_ns";
+    ASSERT_EQ(cur.hists.count(fam), 1u) << fam << " missing after load";
+    EXPECT_EQ(cur.hists.at(fam).count - base.hists.at(fam).count, kTotal)
+        << fam;
+  }
+
   // Scrapes ride the admin plane: the query-side accept counter only saw
   // the client connections.
   EXPECT_EQ(server->connections_accepted(), kThreads);
   server->Shutdown();
+  EXPECT_EQ(service->requests_served(), kTotal);
 }
 
 TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
@@ -719,9 +846,8 @@ TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
   ASSERT_NE(server, nullptr) << status.ToString();
   ASSERT_GT(server->admin_port(), 0);
 
-  serve::HttpResponse r;
-  ASSERT_TRUE(
-      serve::HttpGet("127.0.0.1", server->admin_port(), "/healthz", &r).ok());
+  HttpResponse r;
+  ASSERT_TRUE(HttpGet(server->admin_port(), "/healthz", &r));
   EXPECT_EQ(r.code, 200);
   EXPECT_EQ(r.body, "ok\n");
 
@@ -734,12 +860,10 @@ TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
 
   // The admin plane stays reachable while the query plane drains, and
   // reports the drain.
-  ASSERT_TRUE(
-      serve::HttpGet("127.0.0.1", server->admin_port(), "/healthz", &r).ok());
+  ASSERT_TRUE(HttpGet(server->admin_port(), "/healthz", &r));
   EXPECT_EQ(r.code, 503);
   EXPECT_EQ(r.body, "draining\n");
-  ASSERT_TRUE(
-      serve::HttpGet("127.0.0.1", server->admin_port(), "/statusz", &r).ok());
+  ASSERT_TRUE(HttpGet(server->admin_port(), "/statusz", &r));
   EXPECT_EQ(r.code, 200);
   JVal statusz = ParseJsonOrFail(r.body, "/statusz");
   const JVal* draining = statusz.Get("draining");
@@ -755,8 +879,7 @@ TEST(TcpServerTest, HealthzFlipsDrainingDuringShutdown) {
 
   server->Shutdown();
   // Full shutdown closes the admin listener too.
-  EXPECT_FALSE(
-      serve::HttpGet("127.0.0.1", server->admin_port(), "/healthz", &r).ok());
+  EXPECT_FALSE(HttpGet(server->admin_port(), "/healthz", &r));
 }
 
 TEST(TcpServerTest, AdminMalformedRequestsGet4xxQueryPlaneUndisturbed) {
@@ -789,9 +912,8 @@ TEST(TcpServerTest, AdminMalformedRequestsGet4xxQueryPlaneUndisturbed) {
   ::close(fd);
 
   // Unknown path -> 404.
-  serve::HttpResponse r;
-  ASSERT_TRUE(
-      serve::HttpGet("127.0.0.1", server->admin_port(), "/nope", &r).ok());
+  HttpResponse r;
+  ASSERT_TRUE(HttpGet(server->admin_port(), "/nope", &r));
   EXPECT_EQ(r.code, 404);
 
   // Oversized head without a terminator -> 400 before buffering forever.
@@ -802,8 +924,7 @@ TEST(TcpServerTest, AdminMalformedRequestsGet4xxQueryPlaneUndisturbed) {
   ::close(fd);
 
   // The well-formed endpoints still answer...
-  ASSERT_TRUE(
-      serve::HttpGet("127.0.0.1", server->admin_port(), "/healthz", &r).ok());
+  ASSERT_TRUE(HttpGet(server->admin_port(), "/healthz", &r));
   EXPECT_EQ(r.code, 200);
 
   // ...and so does the query connection that sat through all of it.
