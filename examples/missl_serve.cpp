@@ -75,6 +75,7 @@
 #include "core/recommend.h"
 #include "infer/plan.h"
 #include "nn/serialize.h"
+#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/protocol.h"
@@ -353,8 +354,9 @@ int main(int argc, char** argv) {
                  static_cast<long long>(server->connections_refused()),
                  static_cast<long long>(service->requests_served()));
     if (opt.metrics) {
-      std::fprintf(stderr, "\n== metrics ==\n%s",
-                   obs::MetricsRegistry::Global().ToText().c_str());
+      std::fprintf(
+          stderr, "\n== metrics ==\n%s",
+          obs::SnapshotText(obs::MetricsRegistry::Global().Snapshot()).c_str());
     }
     if (!smoke_ckpt.empty()) std::remove(smoke_ckpt.c_str());
     return 0;
@@ -522,8 +524,9 @@ int main(int argc, char** argv) {
     if (!s.ok()) exit_code = Fail("trace write failed: " + s.ToString());
   }
   if (opt.metrics) {
-    std::fprintf(stderr, "\n== metrics ==\n%s",
-                 obs::MetricsRegistry::Global().ToText().c_str());
+    std::fprintf(
+        stderr, "\n== metrics ==\n%s",
+        obs::SnapshotText(obs::MetricsRegistry::Global().Snapshot()).c_str());
   }
   if (!smoke_ckpt.empty()) std::remove(smoke_ckpt.c_str());
   return exit_code;

@@ -18,6 +18,7 @@
 #include "core/missl.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
+#include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "train/trainer.h"
 #include "utils/logging.h"
@@ -99,8 +100,9 @@ int main(int argc, char** argv) {
               result.seconds_per_epoch);
   std::printf("(random ranking over 100 candidates would give HR@10=0.10)\n");
   if (obs::MetricsEnabled()) {
-    std::printf("\n== metrics ==\n%s",
-                obs::MetricsRegistry::Global().ToText().c_str());
+    std::printf(
+        "\n== metrics ==\n%s",
+        obs::SnapshotText(obs::MetricsRegistry::Global().Snapshot()).c_str());
   }
   return 0;
 }

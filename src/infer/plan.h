@@ -143,12 +143,12 @@ struct Op {
 
 /// Compile-time options. The defaults reproduce the fp32 plan exactly.
 struct InferConfig {
-  /// Quantize the catalog to symmetric per-item int8 at compile time and
-  /// emit kCatalogScoreQ instead of kCatalogScore. The int8 path is bitwise
-  /// deterministic across SIMD tiers and thread counts (integer
-  /// accumulation), but its scores differ from fp32 by quantization error —
-  /// accuracy is gated as a ranking-level NDCG@10/Recall@10 bound in
-  /// tests/quant_test.cc, never as float equality.
+  /// Quantize the catalog to symmetric per-item int8 at compile time; the
+  /// one kCatalogScore op then scores the int8 catalog, and the plan keeps
+  /// no fp32 copy. The int8 path is bitwise deterministic across SIMD tiers
+  /// and thread counts (integer accumulation), but its scores differ from
+  /// fp32 by quantization error — accuracy is gated as a ranking-level
+  /// NDCG@10/Recall@10 bound in tests/quant_test.cc, never as float equality.
   bool quantize_catalog = false;
 };
 

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "obs/json.h"
-
 #ifndef MISSL_GIT_REV
 #define MISSL_GIT_REV "unknown"
 #endif
@@ -16,19 +14,6 @@ bool PromNameChar(char c, bool first) {
   if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' || c == ':')
     return true;
   return !first && c >= '0' && c <= '9';
-}
-
-void AppendHistogramJson(std::ostringstream& ss, const HistogramSnapshot& h) {
-  ss << "{\"count\":" << h.count << ",\"sum\":" << h.sum << ",\"buckets\":[";
-  bool first = true;
-  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-    if (h.buckets[i] == 0) continue;
-    if (!first) ss << ",";
-    first = false;
-    ss << "{\"le\":" << Histogram::BucketUpperBound(i)
-       << ",\"n\":" << h.buckets[i] << "}";
-  }
-  ss << "]}";
 }
 
 }  // namespace
@@ -48,20 +33,6 @@ std::string PrometheusName(const std::string& name) {
     }
   }
   if (out.empty()) out = "_";
-  return out;
-}
-
-std::string PrometheusLabelEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out.push_back(c);
-    }
-  }
   return out;
 }
 
@@ -93,54 +64,28 @@ std::string PrometheusText(const MetricsSnapshot& snap) {
   return ss.str();
 }
 
-std::string SnapshotToJson(const MetricsSnapshot& snap) {
+std::string SnapshotText(const MetricsSnapshot& snap) {
   std::ostringstream ss;
-  ss << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, v] : snap.counters) {
-    if (!first) ss << ",";
-    first = false;
-    ss << "\"" << JsonEscape(name) << "\":" << v;
-  }
-  ss << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, v] : snap.gauges) {
-    if (!first) ss << ",";
-    first = false;
-    ss << "\"" << JsonEscape(name) << "\":" << v;
-  }
-  ss << "},\"histograms\":{";
-  first = true;
+  for (const auto& [name, v] : snap.counters) ss << name << " " << v << "\n";
+  for (const auto& [name, v] : snap.gauges) ss << name << " " << v << "\n";
   for (const auto& [name, h] : snap.histograms) {
-    if (!first) ss << ",";
-    first = false;
-    ss << "\"" << JsonEscape(name) << "\":";
-    AppendHistogramJson(ss, h);
-  }
-  ss << "}}";
-  return ss.str();
-}
-
-MetricsSnapshot SnapshotDelta(const MetricsSnapshot& cur,
-                              const MetricsSnapshot& base) {
-  MetricsSnapshot d;
-  for (const auto& [name, v] : cur.counters) {
-    auto it = base.counters.find(name);
-    d.counters[name] = it == base.counters.end() ? v : v - it->second;
-  }
-  d.gauges = cur.gauges;
-  for (const auto& [name, h] : cur.histograms) {
-    HistogramSnapshot& out = d.histograms[name];
-    out = h;
-    auto it = base.histograms.find(name);
-    if (it == base.histograms.end()) continue;
-    out.count -= it->second.count;
-    out.sum -= it->second.sum;
+    const double mean = h.count > 0 ? static_cast<double>(h.sum) /
+                                          static_cast<double>(h.count)
+                                    : 0.0;
+    ss << name << " count=" << h.count << " sum=" << h.sum
+       << " mean=" << mean << " p50<=" << SnapshotPercentile(h, 0.5)
+       << " p99<=" << SnapshotPercentile(h, 0.99) << " buckets=";
+    bool first = true;
     for (int i = 0; i < Histogram::kNumBuckets; ++i) {
-      out.buckets[i] -= it->second.buckets[i];
+      if (h.buckets[i] == 0) continue;
+      if (!first) ss << ",";
+      first = false;
+      ss << Histogram::BucketUpperBound(i) << ":" << h.buckets[i];
     }
+    if (first) ss << "-";
+    ss << "\n";
   }
-  return d;
+  return ss.str();
 }
 
 int64_t SnapshotPercentile(const HistogramSnapshot& h, double p) {

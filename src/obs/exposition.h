@@ -1,12 +1,13 @@
 // Exposition layer over the metrics registry: renders a MetricsSnapshot
-// (obs/metrics.h) as Prometheus text format or as a JSON document, and diffs
-// two snapshots so a scraper can report what happened in a window instead of
-// since process start.
+// (obs/metrics.h) as Prometheus text format or as the human one-line-per-
+// instrument dump, and ranks a histogram snapshot's percentiles.
 //
 // Everything here operates on plain-data snapshots — take one with
 // MetricsRegistry::Global().Snapshot() (brief registry lock, relaxed loads)
 // and render it without blocking instrument updates. The admin HTTP
-// endpoint (serve/tcp_server.h) serves PrometheusText at /metrics.
+// endpoint (serve/tcp_server.h) serves PrometheusText at /metrics and
+// SnapshotPercentile figures in /statusz; the examples print SnapshotText
+// when metrics are on.
 #ifndef MISSL_OBS_EXPOSITION_H_
 #define MISSL_OBS_EXPOSITION_H_
 
@@ -23,10 +24,6 @@ namespace missl::obs {
 /// '_'. "serve.tcp.bytes_in" -> "serve_tcp_bytes_in".
 std::string PrometheusName(const std::string& name);
 
-/// Escapes a string for use inside a Prometheus label value (backslash,
-/// double quote, newline). Does not add the surrounding quotes.
-std::string PrometheusLabelEscape(const std::string& s);
-
 /// Renders the snapshot in Prometheus text exposition format (version
 /// 0.0.4): every family gets a "# TYPE" line; counters and gauges one
 /// sample line each; histograms the full cumulative form —
@@ -36,21 +33,18 @@ std::string PrometheusLabelEscape(const std::string& s);
 /// name order, so output for an unchanged snapshot is byte-stable.
 std::string PrometheusText(const MetricsSnapshot& snap);
 
-/// Renders the snapshot as a JSON document with explicit histogram buckets:
-/// {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
-/// "sum":..,"buckets":[{"le":..,"n":..},...]},...}}.
-std::string SnapshotToJson(const MetricsSnapshot& snap);
+/// Renders the snapshot for humans, one line per instrument: counters, then
+/// gauges (the memory.* gauges among them), then histograms, each in sorted
+/// name order. Counters and gauges print "name value"; histograms print
+/// "name count=N sum=S mean=M p50<=X p99<=Y buckets=le:n,le:n,...", listing
+/// only non-empty buckets ("-" when there are none), so a reader can compute
+/// other percentiles from the bucket structure.
+std::string SnapshotText(const MetricsSnapshot& snap);
 
-/// Window delta `cur - base`: counters and histogram counts/sums/buckets
-/// subtract (instruments absent from `base` pass through; a registry reset
-/// between the snapshots can produce negative deltas — callers that reset
-/// should re-baseline); gauges keep their `cur` point-in-time value.
-MetricsSnapshot SnapshotDelta(const MetricsSnapshot& cur,
-                              const MetricsSnapshot& base);
-
-/// Nearest-rank percentile over a histogram snapshot's buckets, returning
-/// the containing bucket's upper bound (0 when empty) — same contract as
-/// Histogram::ApproxPercentile, usable on deltas.
+/// Nearest-rank percentile over a histogram snapshot's buckets: the upper
+/// bound of the bucket that holds sample number floor(p * (count - 1)) + 1
+/// in sorted order, with p clamped to [0, 1]; 0 when empty. Accurate to the
+/// factor-of-two bucket width. This is the registry's one percentile rule.
 int64_t SnapshotPercentile(const HistogramSnapshot& h, double p);
 
 /// Git revision the library was built from ("unknown" outside a git

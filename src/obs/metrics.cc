@@ -2,9 +2,7 @@
 
 #include <bit>
 #include <cstdlib>
-#include <sstream>
 
-#include "obs/json.h"
 #include "obs/memory.h"
 
 namespace missl::obs {
@@ -33,13 +31,13 @@ void Histogram::Observe(int64_t v) {
   int idx = std::bit_width(static_cast<uint64_t>(v));  // 0 -> 0, else log2+1
   if (idx >= kNumBuckets) idx = kNumBuckets - 1;
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
 }
 
-double Histogram::mean() const {
-  int64_t n = count();
-  return n > 0 ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
+int64_t Histogram::count() const {
+  int64_t n = 0;
+  for (int i = 0; i < kNumBuckets; ++i) n += bucket(i);
+  return n;
 }
 
 int64_t Histogram::BucketUpperBound(int i) {
@@ -47,58 +45,9 @@ int64_t Histogram::BucketUpperBound(int i) {
   return (int64_t{1} << i) - 1;
 }
 
-int64_t Histogram::ApproxPercentile(double p) const {
-  int64_t n = count();
-  if (n <= 0) return 0;
-  if (p < 0.0) p = 0.0;
-  if (p > 1.0) p = 1.0;
-  int64_t target = static_cast<int64_t>(p * static_cast<double>(n - 1)) + 1;
-  int64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    seen += bucket(i);
-    if (seen >= target) return BucketUpperBound(i);
-  }
-  return BucketUpperBound(kNumBuckets - 1);
-}
-
 void Histogram::Reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
-}
-
-std::string Histogram::ToText() const {
-  std::ostringstream ss;
-  ss << "count=" << count() << " sum=" << sum() << " mean=" << mean()
-     << " p50<=" << ApproxPercentile(0.5) << " p99<=" << ApproxPercentile(0.99)
-     << " buckets=";
-  bool first = true;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    int64_t n = bucket(i);
-    if (n == 0) continue;
-    if (!first) ss << ",";
-    first = false;
-    ss << BucketUpperBound(i) << ":" << n;
-  }
-  if (first) ss << "-";
-  return ss.str();
-}
-
-std::string Histogram::ToJson() const {
-  std::ostringstream ss;
-  ss << "{\"count\":" << count() << ",\"sum\":" << sum()
-     << ",\"mean\":" << JsonNumber(mean()) << ",\"p50\":" << ApproxPercentile(0.5)
-     << ",\"p99\":" << ApproxPercentile(0.99) << ",\"buckets\":[";
-  bool first = true;
-  for (int i = 0; i < kNumBuckets; ++i) {
-    int64_t n = bucket(i);
-    if (n == 0) continue;
-    if (!first) ss << ",";
-    first = false;
-    ss << "{\"le\":" << BucketUpperBound(i) << ",\"n\":" << n << "}";
-  }
-  ss << "]}";
-  return ss.str();
 }
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -129,58 +78,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name) {
   return *slot;
 }
 
-std::string MetricsRegistry::ToText() const {
-  std::ostringstream ss;
-  std::lock_guard<std::mutex> l(mu_);
-  for (const auto& [name, c] : counters_) {
-    ss << name << " " << c->value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    ss << name << " " << g->value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    ss << name << " " << h->ToText() << "\n";
-  }
-  MemoryStats m = CurrentMemoryStats();
-  ss << "memory.live_bytes " << m.live_bytes << "\n";
-  ss << "memory.peak_bytes " << m.peak_bytes << "\n";
-  ss << "memory.live_tensors " << m.live_tensors << "\n";
-  ss << "memory.live_autograd_nodes " << m.live_autograd_nodes << "\n";
-  return ss.str();
-}
-
-std::string MetricsRegistry::ToJson() const {
-  std::ostringstream ss;
-  std::lock_guard<std::mutex> l(mu_);
-  ss << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    if (!first) ss << ",";
-    first = false;
-    ss << "\"" << JsonEscape(name) << "\":" << c->value();
-  }
-  ss << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) ss << ",";
-    first = false;
-    ss << "\"" << JsonEscape(name) << "\":" << g->value();
-  }
-  ss << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (!first) ss << ",";
-    first = false;
-    ss << "\"" << JsonEscape(name) << "\":" << h->ToJson();
-  }
-  MemoryStats m = CurrentMemoryStats();
-  ss << "},\"memory\":{\"live_bytes\":" << m.live_bytes
-     << ",\"peak_bytes\":" << m.peak_bytes
-     << ",\"live_tensors\":" << m.live_tensors
-     << ",\"live_autograd_nodes\":" << m.live_autograd_nodes << "}}";
-  return ss.str();
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   {
@@ -190,12 +87,8 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     for (const auto& [name, h] : histograms_) {
       HistogramSnapshot& hs = snap.histograms[name];
       hs.sum = h->sum();
-      // Derive count from the bucket reads instead of loading count_: a
-      // racing Observe bumps its bucket before count_, so an independently
-      // loaded count can be smaller than the bucket total — and a scraper
-      // cross-checking le="+Inf" against _count would see a torn histogram.
-      // The bucket sum is self-consistent by construction and monotone
-      // across scrapes.
+      // count is the bucket total (Histogram::count's rule), summed from
+      // the same reads, so le="+Inf" == _count in every scrape.
       for (int i = 0; i < Histogram::kNumBuckets; ++i) {
         hs.buckets[i] = h->bucket(i);
         hs.count += hs.buckets[i];
@@ -208,13 +101,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   snap.gauges["memory.live_tensors"] = m.live_tensors;
   snap.gauges["memory.live_autograd_nodes"] = m.live_autograd_nodes;
   return snap;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> l(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 }  // namespace missl::obs

@@ -13,6 +13,10 @@
 // path costs one predictable branch on a relaxed atomic load and leaves
 // every instrument untouched. Tensor memory accounting is deliberately NOT
 // behind this flag — see obs/memory.h.
+//
+// There is one read path: MetricsRegistry::Snapshot() copies everything into
+// a plain-data MetricsSnapshot, and obs/exposition.h renders that copy
+// (PrometheusText for /metrics, SnapshotText for the human dump).
 #ifndef MISSL_OBS_METRICS_H_
 #define MISSL_OBS_METRICS_H_
 
@@ -61,48 +65,35 @@ class Gauge {
 
 /// Histogram over non-negative integer samples (durations in ns, sizes in
 /// bytes, ...) with power-of-two buckets: bucket 0 holds the value 0 and
-/// bucket i >= 1 holds values in [2^(i-1), 2^i). Observe is one relaxed
-/// atomic increment plus a bit scan.
+/// bucket i >= 1 holds values in [2^(i-1), 2^i). Observe is two relaxed
+/// atomic adds plus a bit scan. Read it through MetricsRegistry::Snapshot;
+/// percentiles are obs::SnapshotPercentile (obs/exposition.h).
 class Histogram {
  public:
   static constexpr int kNumBuckets = 44;  ///< covers up to ~2^43 (~2.4h in ns)
 
   void Observe(int64_t v);
 
-  int64_t count() const { return count_.load(std::memory_order_relaxed); }
+  /// The sum of the bucket loads, the same count a snapshot reports.
+  int64_t count() const;
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  double mean() const;
   int64_t bucket(int i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   /// Inclusive upper bound of bucket i (0 for bucket 0, 2^i - 1 otherwise).
   static int64_t BucketUpperBound(int i);
-  /// Upper bound of the bucket containing the p-quantile (p in [0, 1]);
-  /// 0 when empty.
-  int64_t ApproxPercentile(double p) const;
   void Reset();
-
-  /// One-line human form with the full bucket structure spelled out
-  /// ("count=N sum=S mean=M p50<=X p99<=Y buckets=le:n,le:n,..."), so
-  /// external tools can compute their own percentiles instead of trusting
-  /// the factor-of-two ApproxPercentile. Only non-empty buckets appear.
-  std::string ToText() const;
-  /// JSON object {"count":..,"sum":..,"mean":..,"p50":..,"p99":..,
-  /// "buckets":[{"le":bound,"n":count},...]} with non-empty buckets only.
-  std::string ToJson() const;
 
  private:
   std::atomic<int64_t> buckets_[kNumBuckets]{};
-  std::atomic<int64_t> count_{0};
   std::atomic<int64_t> sum_{0};
 };
 
 /// Plain-data copy of one histogram, taken with relaxed loads. `count` is
-/// the sum of the bucket reads (not an independent load of the live
-/// counter), so count and buckets always agree — the Prometheus invariant
-/// le="+Inf" == _count holds even mid-update. `sum` is read separately and
-/// may be off by in-flight observations; scrapers must not cross-check it
-/// against count.
+/// the sum of the bucket reads, so count and buckets always agree — the
+/// Prometheus invariant le="+Inf" == _count holds even mid-update. `sum` is
+/// read separately and may be off by in-flight observations; scrapers must
+/// not cross-check it against count.
 struct HistogramSnapshot {
   int64_t count = 0;
   int64_t sum = 0;
@@ -111,8 +102,7 @@ struct HistogramSnapshot {
 
 /// Point-in-time copy of every registered instrument plus the always-on
 /// memory gauges (as "memory.*" gauges). The exposition layer
-/// (obs/exposition.h) renders and diffs these without holding the registry
-/// lock.
+/// (obs/exposition.h) renders these without holding the registry lock.
 struct MetricsSnapshot {
   std::map<std::string, int64_t> counters;
   std::map<std::string, int64_t> gauges;
@@ -130,21 +120,12 @@ class MetricsRegistry {
   Gauge& GetGauge(const std::string& name);
   Histogram& GetHistogram(const std::string& name);
 
-  /// One "name value" line per instrument, sorted by name, plus the
-  /// always-on memory gauges (obs/memory.h). Histogram lines carry the
-  /// explicit bucket structure (Histogram::ToText).
-  std::string ToText() const;
-  /// JSON document: {"counters":{...},"gauges":{...},"histograms":{...},
-  /// "memory":{...}}.
-  std::string ToJson() const;
   /// Copies every instrument's current value (relaxed loads under the
   /// registry lock) into a plain-data snapshot, including the memory gauges.
   /// Safe to call at any time from any thread, including while other threads
-  /// update instruments; see obs/exposition.h for rendering and deltas.
+  /// update instruments. This is the registry's only read path: /metrics,
+  /// /statusz, the examples' metrics dumps and the bench ledger all read it.
   MetricsSnapshot Snapshot() const;
-  /// Zeroes every registered counter/gauge/histogram (names stay
-  /// registered). Does not touch the memory gauges.
-  void ResetAll();
 
  private:
   mutable std::mutex mu_;

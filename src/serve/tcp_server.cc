@@ -116,6 +116,35 @@ const char* HttpReason(int code) {
   }
 }
 
+// Opens a non-blocking listener on 127.0.0.1:`port` (0 picks an ephemeral
+// port) and reports its fd and bound port. On failure the IOError names the
+// listener (`what`) and the failing call; *fd may then hold an open socket,
+// which the caller owns and closes.
+Status ListenLoopback(const char* what, int port, int backlog, int* fd,
+                      int* bound_port) {
+  auto fail = [&](const char* call) {
+    const int err = errno;
+    return Status::IOError(std::string(what) + " listener " + call +
+                           " 127.0.0.1:" + std::to_string(port) + ": " +
+                           std::strerror(err));
+  };
+  *fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (*fd < 0) return fail("socket");
+  int one = 1;
+  ::setsockopt(*fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  socklen_t len = sizeof(addr);
+  auto* sa = reinterpret_cast<sockaddr*>(&addr);
+  if (::bind(*fd, sa, len) != 0) return fail("bind");
+  if (::listen(*fd, backlog) != 0) return fail("listen");
+  if (::getsockname(*fd, sa, &len) != 0) return fail("getsockname");
+  *bound_port = static_cast<int>(ntohs(addr.sin_port));
+  return Status::OK();
+}
+
 }  // namespace
 
 TcpServer::TcpServer(RecoService* service, const TcpServerConfig& config)
@@ -148,69 +177,14 @@ std::unique_ptr<TcpServer> TcpServer::Start(RecoService* service,
   }
 
   std::unique_ptr<TcpServer> srv(new TcpServer(service, config));
-  srv->listen_fd_ =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-  if (srv->listen_fd_ < 0) {
-    *status = Status::IOError(std::string("socket: ") + std::strerror(errno));
-    return nullptr;
-  }
-  int one = 1;
-  ::setsockopt(srv->listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(config.port));
-  if (::bind(srv->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    *status = Status::IOError(std::string("bind 127.0.0.1:") +
-                              std::to_string(config.port) + ": " +
-                              std::strerror(errno));
-    return nullptr;
-  }
-  if (::listen(srv->listen_fd_, config.backlog) != 0) {
-    *status = Status::IOError(std::string("listen: ") + std::strerror(errno));
-    return nullptr;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(srv->listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &len) != 0) {
-    *status =
-        Status::IOError(std::string("getsockname: ") + std::strerror(errno));
-    return nullptr;
-  }
-  srv->port_ = static_cast<int>(ntohs(addr.sin_port));
-
+  // On failure srv's destructor closes whatever listener fd was opened.
+  *status = ListenLoopback("query", config.port, config.backlog,
+                           &srv->listen_fd_, &srv->port_);
+  if (!status->ok()) return nullptr;
   if (config.admin_port >= 0) {
-    srv->admin_listen_fd_ =
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (srv->admin_listen_fd_ < 0) {
-      *status =
-          Status::IOError(std::string("socket(admin): ") +
-                          std::strerror(errno));
-      return nullptr;
-    }
-    ::setsockopt(srv->admin_listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in aaddr{};
-    aaddr.sin_family = AF_INET;
-    aaddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    aaddr.sin_port = htons(static_cast<uint16_t>(config.admin_port));
-    if (::bind(srv->admin_listen_fd_, reinterpret_cast<sockaddr*>(&aaddr),
-               sizeof(aaddr)) != 0 ||
-        ::listen(srv->admin_listen_fd_, config.backlog) != 0) {
-      *status = Status::IOError(std::string("bind/listen admin 127.0.0.1:") +
-                                std::to_string(config.admin_port) + ": " +
-                                std::strerror(errno));
-      return nullptr;
-    }
-    socklen_t alen = sizeof(aaddr);
-    if (::getsockname(srv->admin_listen_fd_,
-                      reinterpret_cast<sockaddr*>(&aaddr), &alen) != 0) {
-      *status = Status::IOError(std::string("getsockname(admin): ") +
-                                std::strerror(errno));
-      return nullptr;
-    }
-    srv->admin_port_ = static_cast<int>(ntohs(aaddr.sin_port));
+    *status = ListenLoopback("admin", config.admin_port, config.backlog,
+                             &srv->admin_listen_fd_, &srv->admin_port_);
+    if (!status->ok()) return nullptr;
   }
 
   srv->epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);

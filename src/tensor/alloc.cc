@@ -314,13 +314,9 @@ void* Acquire(int64_t bytes, int64_t* cap_bytes, int* cls) {
     return p;
   }
 #endif
-  // System mode, or an oversize block that bypasses the cache. cls -1
-  // routes the eventual Release straight back to the system even if the
-  // mode has been flipped to pool in between... except cacheable-size
-  // blocks allocated in system mode keep their class so a later pool-mode
-  // release can still only free them (origin is the allocator, not the
-  // class). To keep routing unambiguous, system-mode blocks always record
-  // cls -1.
+  // System mode, or an oversize block that bypasses the cache. Both record
+  // cls -1, so Release frees them to the system whatever the mode is by
+  // then: a block's route is fixed by where it came from, not by its size.
   const int64_t cap = RoundUpBytes(bytes);
   void* p = SystemAlloc(cap);
   NoteLiveBytes(cap);

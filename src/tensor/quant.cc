@@ -54,12 +54,6 @@ void QuantizeRowsSymmetric(const float* x, int64_t rows, int64_t n, int8_t* q,
   if (stats != nullptr) *stats = st;
 }
 
-void DequantizeRow(const int8_t* q, float scale, float* out, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    out[i] = scale * static_cast<float>(q[i]);
-  }
-}
-
 int32_t Int8DotRef(const int8_t* a, const int8_t* b, int64_t n) {
   int32_t acc = 0;
   for (int64_t i = 0; i < n; ++i) {

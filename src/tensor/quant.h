@@ -45,10 +45,6 @@ int64_t QuantizeRowWithScale(const float* x, int64_t n, float scale, int8_t* q);
 void QuantizeRowsSymmetric(const float* x, int64_t rows, int64_t n, int8_t* q,
                            float* scales, RowQuantStats* stats);
 
-/// out[i] = scale * q[i] — the inverse map (up to rounding error; the
-/// round-trip bound |x - out| <= scale / 2 is gated in tests/quant_test.cc).
-void DequantizeRow(const int8_t* q, float scale, float* out, int64_t n);
-
 /// The scalar reference int8 dot: sum over i of int32(a[i]) * int32(b[i]).
 /// This IS the int8 arithmetic contract; the integer dot inside the simd
 /// int8 catalog kernels must match it bitwise on every tier.

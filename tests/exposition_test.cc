@@ -1,13 +1,14 @@
 // Tests for the exposition layer (obs/exposition.h) and the span store
 // (obs/trace.h): Prometheus text validity (validated end-to-end
 // through testutil::ParsePrometheusText, the same strict parser the socket
-// scrape tests use), name/label sanitization, snapshot JSON/delta/
+// scrape tests use), name sanitization, the human SnapshotText dump,
 // percentile semantics, ring behavior (overwrite-oldest at fixed capacity
 // outside a session, growth to the session bound with an overwritten count,
-// clear), and a concurrent scrape-while-updating run that the TSan CI leg
+// clear), and concurrent scrape-while-updating runs that the TSan CI leg
 // exercises for data races.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <latch>
@@ -59,13 +60,6 @@ TEST_F(ExpositionTest, PrometheusNameSanitization) {
   // distinct after sanitization.
   EXPECT_EQ(obs::PrometheusName("9lives"), "_9lives");
   EXPECT_EQ(obs::PrometheusName(""), "_");
-}
-
-TEST_F(ExpositionTest, PrometheusLabelEscape) {
-  EXPECT_EQ(obs::PrometheusLabelEscape("plain"), "plain");
-  EXPECT_EQ(obs::PrometheusLabelEscape("a\\b"), "a\\\\b");
-  EXPECT_EQ(obs::PrometheusLabelEscape("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(obs::PrometheusLabelEscape("line\nbreak"), "line\\nbreak");
 }
 
 TEST_F(ExpositionTest, PrometheusTextParsesAndRoundTripsValues) {
@@ -139,74 +133,28 @@ TEST_F(ExpositionTest, PrometheusTextStableOrderingAndByteStable) {
       << "counter families not in sorted order";
 }
 
-TEST_F(ExpositionTest, SnapshotToJsonIsValidJson) {
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("expo.json.counter").Add(3);
-  reg.GetHistogram("expo.json.hist").Observe(1000);
-
-  JVal root = ParseJsonOrFail(obs::SnapshotToJson(reg.Snapshot()),
-                              "SnapshotToJson()");
-  ASSERT_EQ(root.type, JVal::kObj);
-  const JVal* counters = root.Get("counters");
-  const JVal* gauges = root.Get("gauges");
-  const JVal* histograms = root.Get("histograms");
-  ASSERT_NE(counters, nullptr);
-  ASSERT_NE(gauges, nullptr);
-  ASSERT_NE(histograms, nullptr);
-  ASSERT_EQ(histograms->type, JVal::kObj);
-  const JVal* h = histograms->Get("expo.json.hist");
-  ASSERT_NE(h, nullptr);
-  const JVal* count = h->Get("count");
-  ASSERT_NE(count, nullptr);
-  EXPECT_GE(count->num, 1);
-  ASSERT_NE(h->Get("buckets"), nullptr);
-  EXPECT_EQ(h->Get("buckets")->type, JVal::kArr);
-}
-
-TEST_F(ExpositionTest, SnapshotDeltaSemantics) {
-  obs::MetricsSnapshot base;
-  base.counters["c.common"] = 10;
-  base.gauges["g"] = 5;
-  obs::HistogramSnapshot hb;
-  hb.count = 4;
-  hb.sum = 40;
-  hb.buckets[3] = 4;
-  base.histograms["h"] = hb;
-
-  obs::MetricsSnapshot cur;
-  cur.counters["c.common"] = 25;
-  cur.counters["c.new"] = 7;  // absent in base: passes through
-  cur.gauges["g"] = 2;
-  obs::HistogramSnapshot hc;
-  hc.count = 9;
-  hc.sum = 100;
-  hc.buckets[3] = 6;
-  hc.buckets[5] = 3;
-  cur.histograms["h"] = hc;
-
-  obs::MetricsSnapshot d = obs::SnapshotDelta(cur, base);
-  EXPECT_EQ(d.counters["c.common"], 15);
-  EXPECT_EQ(d.counters["c.new"], 7);
-  // Gauges are point-in-time: delta keeps the current value.
-  EXPECT_EQ(d.gauges["g"], 2);
-  EXPECT_EQ(d.histograms["h"].count, 5);
-  EXPECT_EQ(d.histograms["h"].sum, 60);
-  EXPECT_EQ(d.histograms["h"].buckets[3], 2);
-  EXPECT_EQ(d.histograms["h"].buckets[5], 3);
-}
-
-TEST_F(ExpositionTest, SnapshotPercentileMatchesApproxPercentile) {
+// SnapshotPercentile against a nearest-rank reference computed from the raw
+// samples: sample number floor(p * (n - 1)) + 1 in sorted order, reported as
+// the upper bound of its power-of-two bucket.
+TEST_F(ExpositionTest, SnapshotPercentileMatchesNearestRank) {
   auto& reg = obs::MetricsRegistry::Global();
   obs::Histogram& h = reg.GetHistogram("expo.pct.hist");
   h.Reset();
   Rng rng(17);
-  for (int i = 0; i < 500; ++i) {
-    h.Observe(static_cast<int64_t>(rng.UniformInt(1000000)));
+  std::vector<int64_t> samples(500);
+  for (int64_t& v : samples) {
+    v = static_cast<int64_t>(rng.UniformInt(1000000));
+    h.Observe(v);
   }
+  std::sort(samples.begin(), samples.end());
+  const int64_t n = static_cast<int64_t>(samples.size());
   obs::HistogramSnapshot snap = reg.Snapshot().histograms["expo.pct.hist"];
-  for (double p : {0.0, 0.5, 0.9, 0.99, 1.0}) {
-    EXPECT_EQ(obs::SnapshotPercentile(snap, p), h.ApproxPercentile(p))
-        << "p=" << p;
+  ASSERT_EQ(snap.count, n);
+  for (double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    const uint64_t v = static_cast<uint64_t>(
+        samples[static_cast<size_t>(p * static_cast<double>(n - 1))]);
+    const int64_t bound = v == 0 ? 0 : (int64_t{1} << std::bit_width(v)) - 1;
+    EXPECT_EQ(obs::SnapshotPercentile(snap, p), bound) << "p=" << p;
   }
   obs::HistogramSnapshot empty;
   EXPECT_EQ(obs::SnapshotPercentile(empty, 0.5), 0);
@@ -219,8 +167,7 @@ TEST_F(ExpositionTest, SnapshotPercentileEmptyHistogram) {
   for (double p : {-1.0, 0.0, 0.5, 0.99, 1.0, 2.0}) {
     EXPECT_EQ(obs::SnapshotPercentile(empty, p), 0) << "p=" << p;
   }
-  // A count-zero snapshot with stale bucket entries (e.g. a delta of two
-  // identical snapshots after a reset skew) still reports 0.
+  // A count-zero snapshot with zeroed bucket entries still reports 0.
   obs::HistogramSnapshot zeroed;
   zeroed.buckets[4] = 0;
   EXPECT_EQ(obs::SnapshotPercentile(zeroed, 0.5), 0);
@@ -249,51 +196,24 @@ TEST_F(ExpositionTest, SnapshotPercentileSingleBucket) {
   }
 }
 
-TEST_F(ExpositionTest, SnapshotDeltaEmptyAndSingleBucketHistograms) {
-  // Empty-histogram corners of SnapshotDelta: identical snapshots cancel to
-  // a zero histogram; an instrument absent from base passes through; an
-  // instrument absent from cur is dropped (the delta describes cur).
-  obs::HistogramSnapshot single;
-  single.count = 5;
-  single.sum = 50;
-  single.buckets[6] = 5;
-
-  obs::MetricsSnapshot base;
-  base.histograms["h.same"] = single;
-  base.histograms["h.gone"] = single;
-
-  obs::MetricsSnapshot cur;
-  cur.histograms["h.same"] = single;
-  cur.histograms["h.empty"] = obs::HistogramSnapshot{};
-  obs::HistogramSnapshot grown = single;
-  grown.count = 8;
-  grown.sum = 80;
-  grown.buckets[6] = 8;
-  cur.histograms["h.new"] = grown;
-
-  obs::MetricsSnapshot d = obs::SnapshotDelta(cur, base);
-  ASSERT_EQ(d.histograms.count("h.same"), 1u);
-  EXPECT_EQ(d.histograms["h.same"].count, 0);
-  EXPECT_EQ(d.histograms["h.same"].sum, 0);
-  for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) {
-    EXPECT_EQ(d.histograms["h.same"].buckets[i], 0) << "bucket " << i;
-  }
-  // The cancelled histogram ranks as empty, tying the two APIs together.
-  EXPECT_EQ(obs::SnapshotPercentile(d.histograms["h.same"], 0.5), 0);
-
-  // Absent from base: the full cur value passes through, still one bucket.
-  ASSERT_EQ(d.histograms.count("h.new"), 1u);
-  EXPECT_EQ(d.histograms["h.new"].count, 8);
-  EXPECT_EQ(d.histograms["h.new"].buckets[6], 8);
-  EXPECT_EQ(obs::SnapshotPercentile(d.histograms["h.new"], 1.0),
-            obs::Histogram::BucketUpperBound(6));
-
-  // Empty in cur, absent in base: passes through as empty, not dropped.
-  ASSERT_EQ(d.histograms.count("h.empty"), 1u);
-  EXPECT_EQ(d.histograms["h.empty"].count, 0);
-
-  // Absent in cur: not resurrected from base.
-  EXPECT_EQ(d.histograms.count("h.gone"), 0u);
+TEST_F(ExpositionTest, SnapshotTextLineShape) {
+  obs::MetricsSnapshot snap;
+  snap.counters["a.c"] = 3;
+  snap.gauges["b.g"] = -2;
+  snap.gauges["memory.live_bytes"] = 10;
+  obs::HistogramSnapshot& h = snap.histograms["h"];
+  h.count = 4;
+  h.sum = 6;
+  h.buckets[0] = 1;
+  h.buckets[1] = 1;
+  h.buckets[2] = 2;
+  snap.histograms["h.empty"];
+  EXPECT_EQ(obs::SnapshotText(snap),
+            "a.c 3\n"
+            "b.g -2\n"
+            "memory.live_bytes 10\n"
+            "h count=4 sum=6 mean=1.5 p50<=1 p99<=3 buckets=0:1,1:1,3:2\n"
+            "h.empty count=0 sum=0 mean=0 p50<=0 p99<=0 buckets=-\n");
 }
 
 TEST_F(ExpositionTest, BuildRevNonEmpty) {
@@ -542,6 +462,58 @@ TEST_F(ExpositionTest, ConcurrentScrapeWhileUpdating) {
               obs::TraceSpansRecorded());
     EXPECT_EQ(OverwrittenSpans(json), 0);
   }
+}
+
+// Histogram::count() is the bucket total, the same count a snapshot reports.
+// While 4 threads Observe, the scraper reads the buckets, then count(), then
+// a snapshot. Each is a later read of the same monotone atomics, so none may
+// be less than the one before, and a snapshot's count equals its bucket sum.
+// A count kept in its own atomic and bumped after the bucket would read less
+// than the buckets summed just before it.
+TEST_F(ExpositionTest, HistogramCountIsBucketSumWhileObserving) {
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Histogram& h = reg.GetHistogram("expo.count.hist");
+  h.Reset();
+  constexpr int kThreads = 4;
+  constexpr int kScrapes = 20000;
+  std::latch start(kThreads + 1);
+  std::atomic<bool> stop{false};
+  std::vector<int64_t> writes(kThreads, 0);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      int64_t i = 0;
+      start.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) h.Observe(t * 1000 + i++);
+      writes[t] = i;
+    });
+  }
+  start.arrive_and_wait();
+  int64_t last = 0;
+  for (int k = 0; k < kScrapes && !HasFailure(); ++k) {
+    int64_t bucket_sum = 0;
+    for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+      bucket_sum += h.bucket(i);
+    }
+    const int64_t count = h.count();
+    const obs::HistogramSnapshot hs =
+        reg.Snapshot().histograms["expo.count.hist"];
+    int64_t snap_sum = 0;
+    for (int64_t b : hs.buckets) snap_sum += b;
+    EXPECT_GE(bucket_sum, last) << "scrape " << k;
+    EXPECT_GE(count, bucket_sum) << "scrape " << k;
+    EXPECT_GE(hs.count, count) << "scrape " << k;
+    EXPECT_EQ(hs.count, snap_sum) << "scrape " << k;
+    last = hs.count;
+  }
+  stop.store(true);
+  for (auto& w : workers) w.join();
+
+  int64_t total = 0;
+  for (int64_t n : writes) total += n;
+  EXPECT_EQ(h.count(), total);
+  EXPECT_EQ(reg.Snapshot().histograms["expo.count.hist"].count, total);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "baselines/zoo.h"
 #include "data/synthetic.h"
+#include "obs/exposition.h"
 #include "obs/json.h"
 #include "obs/memory.h"
 #include "obs/metrics.h"
@@ -68,12 +69,15 @@ TEST_F(ObsTest, HistogramBucketsAndPercentiles) {
   h.Observe(3);
   EXPECT_EQ(h.count(), 4);
   EXPECT_EQ(h.sum(), 6);
-  EXPECT_DOUBLE_EQ(h.mean(), 1.5);
   EXPECT_EQ(h.bucket(0), 1);  // the value 0
   EXPECT_EQ(h.bucket(1), 1);  // [1, 1]
   EXPECT_EQ(h.bucket(2), 2);  // [2, 3]
-  EXPECT_EQ(h.ApproxPercentile(0.5), 1);
-  EXPECT_EQ(h.ApproxPercentile(1.0), 3);
+  obs::HistogramSnapshot snap =
+      obs::MetricsRegistry::Global().Snapshot().histograms["test.hist"];
+  EXPECT_EQ(snap.count, 4);
+  EXPECT_EQ(snap.sum, 6);
+  EXPECT_EQ(obs::SnapshotPercentile(snap, 0.5), 1);
+  EXPECT_EQ(obs::SnapshotPercentile(snap, 1.0), 3);
   // Huge values land in the top bucket instead of overflowing.
   h.Observe(int64_t{1} << 62);
   EXPECT_EQ(h.count(), 5);
@@ -107,20 +111,21 @@ TEST_F(ObsTest, ConcurrentCounterIncrementsAreExact) {
 }
 
 TEST_F(ObsTest, RegistryExportsParse) {
-  obs::MetricsRegistry::Global().GetCounter("test.export").Add(3);
-  obs::MetricsRegistry::Global().GetHistogram("test.export.hist").Observe(9);
-  JVal root =
-      ParseJsonOrFail(obs::MetricsRegistry::Global().ToJson(), "ToJson()");
-  ASSERT_EQ(root.type, JVal::kObj);
-  EXPECT_NE(root.Get("counters"), nullptr);
-  EXPECT_NE(root.Get("gauges"), nullptr);
-  EXPECT_NE(root.Get("histograms"), nullptr);
-  ASSERT_NE(root.Get("memory"), nullptr);
-  EXPECT_NE(root.Get("memory")->Get("live_bytes"), nullptr);
-  // Text export mentions the instrument and the memory gauges.
-  std::string text = obs::MetricsRegistry::Global().ToText();
-  EXPECT_NE(text.find("test.export"), std::string::npos);
-  EXPECT_NE(text.find("memory.live_bytes"), std::string::npos);
+  obs::Counter& c = obs::MetricsRegistry::Global().GetCounter("test.export");
+  c.Reset();
+  c.Add(3);
+  obs::Histogram& h =
+      obs::MetricsRegistry::Global().GetHistogram("test.export.hist");
+  h.Reset();
+  h.Observe(9);
+  // The human dump names the instrument, spells out the histogram's count
+  // and buckets, and carries the memory gauges the snapshot adds.
+  std::string text =
+      obs::SnapshotText(obs::MetricsRegistry::Global().Snapshot());
+  EXPECT_NE(text.find("test.export 3\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("test.export.hist count=1 "), std::string::npos) << text;
+  EXPECT_NE(text.find(" buckets=15:1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("memory.live_bytes "), std::string::npos) << text;
 }
 
 TEST_F(ObsTest, JsonEscapeAndNumber) {

@@ -16,7 +16,10 @@
 //     disturbing the query plane;
 //   - two real /metrics scrapes around a pipelined multi-connection load
 //     account for every request in serve.requests and in each of the six
-//     serve.stage.* histograms.
+//     serve.stage.* histograms;
+//   - Start on a port another server holds fails with an IOError naming the
+//     listener, for the query and the admin port alike, and leaves no
+//     descriptor or thread behind.
 // tcp_server_test runs in the TSan CI job, so every cross-thread handoff in
 // the server is exercised under the race detector here.
 #include "serve/tcp_server.h"
@@ -29,6 +32,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -954,6 +958,63 @@ TEST(TcpServerTest, StartRejectsBadConfig) {
   bad.admin_port = 70000;
   EXPECT_EQ(serve::TcpServer::Start(service.get(), bad, &status), nullptr);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// Number of entries in a /proc/self directory: open descriptors ("fd") or
+// threads ("task") of this process.
+int64_t CountProcEntries(const char* dir) {
+  int64_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string("/proc/self/") + dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(TcpServerTest, StartOnATakenPortFailsWithoutLeaking) {
+  Status status;
+  auto service = MakeService("tcp_taken.bin", 59, 4, 500, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  auto first =
+      serve::TcpServer::Start(service.get(), serve::TcpServerConfig(), &status);
+  ASSERT_NE(first, nullptr) << status.ToString();
+  const int64_t fds = CountProcEntries("fd");
+  const int64_t threads = CountProcEntries("task");
+
+  serve::TcpServerConfig taken;
+  taken.port = first->port();
+  EXPECT_EQ(serve::TcpServer::Start(service.get(), taken, &status), nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("query listener bind"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(CountProcEntries("fd"), fds);
+  EXPECT_EQ(CountProcEntries("task"), threads);
+
+  // The query listener binds an ephemeral port first; the admin bind then
+  // fails, and the query socket it opened must be closed too.
+  taken = serve::TcpServerConfig();
+  taken.admin_port = first->admin_port();
+  EXPECT_EQ(serve::TcpServer::Start(service.get(), taken, &status), nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kIOError);
+  EXPECT_NE(status.message().find("admin listener bind"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(CountProcEntries("fd"), fds);
+  EXPECT_EQ(CountProcEntries("task"), threads);
+
+  // The first server still owns both ports and answers on them.
+  HttpResponse r;
+  ASSERT_TRUE(HttpGet(first->admin_port(), "/healthz", &r));
+  EXPECT_EQ(r.code, 200);
+  Rng rng(61);
+  int qfd = ConnectLoopback(first->port());
+  ASSERT_GE(qfd, 0);
+  SendAllBytes(qfd, serve::QueryToLine(3, RandomWireQuery(&rng)) + "\n");
+  std::string acc, line;
+  ASSERT_TRUE(RecvLine(qfd, &acc, &line));
+  EXPECT_EQ(ExtractId(line), 3);
+  ::close(qfd);
+  first->Shutdown();
 }
 
 }  // namespace
