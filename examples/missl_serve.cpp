@@ -505,14 +505,14 @@ int main(int argc, char** argv) {
     // The serving instrumentation must actually have observed the run.
     auto& reg = obs::MetricsRegistry::Global();
     int64_t requests = reg.GetCounter("serve.requests").value();
-    int64_t queue_wait = reg.GetHistogram("serve.queue_wait_ns").count();
+    int64_t batch_wait = reg.GetHistogram("serve.stage.batch_ns").count();
     int64_t request_ns = reg.GetHistogram("serve.request_ns").count();
     if (requests != static_cast<int64_t>(queries.size()) ||
-        queue_wait != static_cast<int64_t>(queries.size()) ||
+        batch_wait != static_cast<int64_t>(queries.size()) ||
         request_ns != static_cast<int64_t>(queries.size())) {
       exit_code = Fail("metrics check failed: serve.requests=" +
-                       std::to_string(requests) + " queue_wait count=" +
-                       std::to_string(queue_wait) + " request_ns count=" +
+                       std::to_string(requests) + " stage.batch_ns count=" +
+                       std::to_string(batch_wait) + " request_ns count=" +
                        std::to_string(request_ns) + ", want all == " +
                        std::to_string(queries.size()));
     }

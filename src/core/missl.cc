@@ -173,12 +173,6 @@ Tensor MisslModel::UserInterests(const data::Batch& batch) {
   return FuseInterests(encoded, batch, v_tgt, v_aux);
 }
 
-Tensor MisslModel::BehaviorInterests(const data::Batch& batch, int32_t behavior) {
-  MISSL_CHECK(behavior >= 0 && behavior < num_behaviors_) << "behavior range";
-  Tensor encoded = Encode(batch);
-  return ExtractInterests(encoded, batch, behavior);
-}
-
 Tensor MisslModel::Loss(const data::Batch& batch) {
   Tensor encoded = Encode(batch);
   int32_t target = num_behaviors_ - 1;

@@ -96,9 +96,6 @@ class MisslModel : public SeqRecModel {
   /// and the interest-explorer example).
   Tensor UserInterests(const data::Batch& batch);
 
-  /// Interests extracted from one behavior channel only [B, K, d].
-  Tensor BehaviorInterests(const data::Batch& batch, int32_t behavior);
-
   const MisslConfig& config() const { return config_; }
   int64_t num_interests() const { return k_; }
   /// History window the position table was sized for; serving batches must

@@ -1,7 +1,6 @@
 #include "core/recommend.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "utils/check.h"
 
@@ -67,54 +66,6 @@ std::vector<Recommendation> RecommendTopN(
   }
   model->SetTraining(was_training);
   return out;
-}
-
-ListStats ComputeListStats(const std::vector<Recommendation>& recs,
-                           int32_t num_items, const Tensor& item_embedding,
-                           const std::vector<int64_t>& popularity) {
-  ListStats s;
-  MISSL_CHECK(num_items > 0);
-  std::vector<bool> covered(static_cast<size_t>(num_items), false);
-  double pop_sum = 0;
-  int64_t pop_n = 0;
-  double dist_sum = 0;
-  int64_t dist_n = 0;
-  for (const auto& rec : recs) {
-    for (int32_t it : rec.items) {
-      MISSL_CHECK(it >= 0 && it < num_items) << "recommended id out of range";
-      covered[static_cast<size_t>(it)] = true;
-      if (!popularity.empty()) {
-        pop_sum += std::log1p(
-            static_cast<double>(popularity[static_cast<size_t>(it)]));
-        ++pop_n;
-      }
-    }
-    if (item_embedding.defined() && rec.items.size() >= 2) {
-      int64_t d = item_embedding.size(1);
-      for (size_t a = 0; a < rec.items.size(); ++a) {
-        for (size_t b = a + 1; b < rec.items.size(); ++b) {
-          const float* ea = item_embedding.data() + rec.items[a] * d;
-          const float* eb = item_embedding.data() + rec.items[b] * d;
-          double dot = 0, na = 0, nb = 0;
-          for (int64_t j = 0; j < d; ++j) {
-            dot += double(ea[j]) * eb[j];
-            na += double(ea[j]) * ea[j];
-            nb += double(eb[j]) * eb[j];
-          }
-          if (na > 1e-12 && nb > 1e-12) {
-            dist_sum += 1.0 - dot / std::sqrt(na * nb);
-            ++dist_n;
-          }
-        }
-      }
-    }
-  }
-  int64_t cov = 0;
-  for (bool c : covered) cov += c ? 1 : 0;
-  s.item_coverage = static_cast<double>(cov) / num_items;
-  s.mean_intra_list_distance = dist_n > 0 ? dist_sum / dist_n : 0.0;
-  s.mean_popularity = pop_n > 0 ? pop_sum / pop_n : 0.0;
-  return s;
 }
 
 }  // namespace missl::core

@@ -1,6 +1,6 @@
 // Top-N recommendation API on top of any SeqRecModel: full-catalog scoring
-// with seen-item exclusion, plus beyond-accuracy list metrics (coverage,
-// intra-list diversity, popularity bias) used in recommendation audits.
+// with seen-item exclusion, and the ranking order that served answers are
+// compared with.
 #ifndef MISSL_CORE_RECOMMEND_H_
 #define MISSL_CORE_RECOMMEND_H_
 
@@ -54,20 +54,6 @@ inline bool RanksBefore(float score_a, int32_t item_a, float score_b,
 void TopKRow(const float* scores, int32_t num_items,
              const std::vector<int32_t>* seen_sorted, int32_t k,
              std::vector<int32_t>* out_items, std::vector<float>* out_scores);
-
-/// Beyond-accuracy statistics of a set of recommendation lists.
-struct ListStats {
-  double item_coverage = 0;    ///< distinct recommended items / catalog size
-  double mean_intra_list_distance = 0;  ///< 1 - mean pairwise cosine (needs emb)
-  double mean_popularity = 0;  ///< mean log-popularity of recommended items
-};
-
-/// Computes list statistics. `item_embedding` ([V, d]) may be undefined, in
-/// which case intra-list distance is reported as 0. `popularity` is a per-
-/// item count vector (raw counts; log1p applied internally); may be empty.
-ListStats ComputeListStats(const std::vector<Recommendation>& recs,
-                           int32_t num_items, const Tensor& item_embedding,
-                           const std::vector<int64_t>& popularity);
 
 }  // namespace missl::core
 

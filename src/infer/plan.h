@@ -241,7 +241,6 @@ class PlannedExecutor {
   static constexpr int64_t kMaxStripes = 8;
 
   int64_t num_ops() const { return static_cast<int64_t>(ops_.size()); }
-  int64_t num_buffers() const { return static_cast<int64_t>(bufs_.size()); }
   /// Bytes of the pooled scratch arena (buffers packed by live range).
   int64_t scratch_bytes() const {
     return arena_.size() * static_cast<int64_t>(sizeof(float));
@@ -264,7 +263,6 @@ class PlannedExecutor {
   // compile.cc helpers.
   int32_t NewBuffer(int64_t per_b, std::string label);
   const float* AddConstant(std::vector<float> values);
-  friend struct PlanBuilder;
 
   // execute.cc: op interpreters. Each replicates the exact float-op
   // sequence of the corresponding training-mode tensor ops.

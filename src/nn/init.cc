@@ -30,11 +30,4 @@ Tensor NormalInit(Shape shape, Rng* rng, float stddev) {
   return Tensor::Randn(std::move(shape), rng, stddev);
 }
 
-Tensor KaimingUniform(Shape shape, Rng* rng) {
-  float fan_in, fan_out;
-  FanInOut(shape, &fan_in, &fan_out);
-  float bound = std::sqrt(6.0f / fan_in);
-  return Tensor::Rand(std::move(shape), rng, -bound, bound);
-}
-
 }  // namespace missl::nn

@@ -1,4 +1,4 @@
-// Weight initialization helpers (Xavier/Glorot and Kaiming/He schemes).
+// Weight initialization helpers (Xavier/Glorot and normal schemes).
 #ifndef MISSL_NN_INIT_H_
 #define MISSL_NN_INIT_H_
 
@@ -12,9 +12,6 @@ Tensor XavierUniform(Shape shape, Rng* rng);
 
 /// Normal(0, stddev) initialization (used for embedding tables).
 Tensor NormalInit(Shape shape, Rng* rng, float stddev = 0.02f);
-
-/// Kaiming-uniform for ReLU fan-in.
-Tensor KaimingUniform(Shape shape, Rng* rng);
 
 }  // namespace missl::nn
 

@@ -45,11 +45,6 @@ int64_t Histogram::BucketUpperBound(int i) {
   return (int64_t{1} << i) - 1;
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked so instrument references handed out to worker threads stay valid
   // through static destruction (still reachable, so LSan stays quiet).

@@ -41,7 +41,6 @@ class Counter {
     if (MetricsEnabled()) v_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> v_{0};
@@ -57,7 +56,6 @@ class Gauge {
     if (MetricsEnabled()) v_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> v_{0};
@@ -82,7 +80,6 @@ class Histogram {
   }
   /// Inclusive upper bound of bucket i (0 for bucket 0, 2^i - 1 otherwise).
   static int64_t BucketUpperBound(int i);
-  void Reset();
 
  private:
   std::atomic<int64_t> buckets_[kNumBuckets]{};

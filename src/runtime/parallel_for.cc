@@ -11,11 +11,11 @@ namespace missl::runtime {
 
 namespace {
 
+// True while the current thread is executing a ParallelFor body, so nested
+// parallel loops run inline.
 thread_local bool t_in_parallel_region = false;
 
 }  // namespace
-
-bool InParallelRegion() { return t_in_parallel_region; }
 
 int64_t GrainForCost(int64_t cost_per_index) {
   if (cost_per_index < 1) cost_per_index = 1;

@@ -37,10 +37,6 @@ namespace missl::runtime {
 void ParallelFor(int64_t begin, int64_t end, int64_t grain,
                  const std::function<void(int64_t, int64_t)>& fn);
 
-/// True while the current thread is executing a ParallelFor body (used to
-/// run nested parallel loops inline).
-bool InParallelRegion();
-
 /// Picks a grain so one chunk amounts to roughly kMinChunkCost units of
 /// work, given the per-index cost in arbitrary units (e.g. flops).
 int64_t GrainForCost(int64_t cost_per_index);

@@ -23,7 +23,6 @@ struct ServeMetrics {
   obs::Counter& requests;
   obs::Counter& batches;
   obs::Histogram& batch_size;
-  obs::Histogram& queue_wait_ns;
   obs::Histogram& request_ns;
   // Per-request stage breakdown (docs/OBSERVABILITY.md): batch = enqueue
   // to batch start, score = batch build + plan run (ranking included),
@@ -38,7 +37,6 @@ struct ServeMetrics {
     static ServeMetrics m{reg.GetCounter("serve.requests"),
                           reg.GetCounter("serve.batches"),
                           reg.GetHistogram("serve.batch_size"),
-                          reg.GetHistogram("serve.queue_wait_ns"),
                           reg.GetHistogram("serve.request_ns"),
                           reg.GetHistogram("serve.stage.batch_ns"),
                           reg.GetHistogram("serve.stage.score_ns"),
@@ -337,7 +335,6 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
   ServeMetrics& metrics = ServeMetrics::Get();
   int64_t start_ns = obs::NowNanos();
   for (const Pending& p : *work) {
-    metrics.queue_wait_ns.Observe(start_ns - p.enqueue_ns);
     metrics.stage_batch_ns.Observe(start_ns - p.enqueue_ns);
   }
   static constexpr obs::SpanSite kBatchSpan{"serve.batch", "serve", "size"};

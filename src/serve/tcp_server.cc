@@ -619,11 +619,7 @@ void TcpServer::ProcessAdminBuffer(const std::shared_ptr<Conn>& conn) {
   // answer, flush, close. Anything after the head (a body, a pipelined
   // second request) is ignored.
   size_t head_end = conn->rbuf.find("\r\n\r\n");
-  size_t skip = 4;
-  if (head_end == std::string::npos) {
-    head_end = conn->rbuf.find("\n\n");
-    skip = 2;
-  }
+  if (head_end == std::string::npos) head_end = conn->rbuf.find("\n\n");
   if (head_end == std::string::npos) {
     if (conn->rbuf.size() > kMaxAdminRequestBytes) {
       AdminMetrics::Get().bad_requests.Add(1);
@@ -631,7 +627,6 @@ void TcpServer::ProcessAdminBuffer(const std::shared_ptr<Conn>& conn) {
     }
     return;
   }
-  (void)skip;
   std::string head = conn->rbuf.substr(0, head_end);
   conn->rbuf.clear();
   SetReading(conn, false);  // one-shot: nothing further will be parsed

@@ -196,8 +196,6 @@ class TcpServer {
   void CloseConn(const std::shared_ptr<Conn>& conn);
   void SetReading(const std::shared_ptr<Conn>& conn, bool enable);
   void WakeEpoll();
-  /// True once draining and no connection remains.
-  bool Drained() const;
 
   RecoService* service_;
   TcpServerConfig config_;

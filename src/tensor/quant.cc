@@ -4,6 +4,9 @@
 
 namespace missl::quant {
 
+namespace {
+
+// max(|x[i]|) over the row; 0 for n == 0. NaN-free inputs assumed.
 float RowMaxAbs(const float* x, int64_t n) {
   float m = 0.0f;
   for (int64_t i = 0; i < n; ++i) {
@@ -12,6 +15,8 @@ float RowMaxAbs(const float* x, int64_t n) {
   }
   return m;
 }
+
+}  // namespace
 
 int64_t QuantizeRowWithScale(const float* x, int64_t n, float scale,
                              int8_t* q) {

@@ -32,15 +32,12 @@ struct RowQuantStats {
   int64_t saturated = 0;   ///< codes clamped to ±127 (rounding edge cases)
 };
 
-/// max(|x[i]|) over the row; 0 for n == 0. NaN-free inputs assumed.
-float RowMaxAbs(const float* x, int64_t n);
-
 /// Quantizes one row with a caller-provided scale. scale == 0 writes all-zero
 /// codes (no division). Returns the number of codes clamped to ±127.
 int64_t QuantizeRowWithScale(const float* x, int64_t n, float scale, int8_t* q);
 
 /// Symmetric per-row quantization of a dense row-major [rows, n] matrix:
-/// scales[r] = RowMaxAbs(row) / 127, codes via QuantizeRowWithScale. `stats`
+/// scales[r] = max(|row[i]|) / 127, codes via QuantizeRowWithScale. `stats`
 /// may be null.
 void QuantizeRowsSymmetric(const float* x, int64_t rows, int64_t n, int8_t* q,
                            float* scales, RowQuantStats* stats);

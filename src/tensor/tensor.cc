@@ -258,8 +258,6 @@ Tensor Tensor::Detach() const {
   return Tensor(std::move(out));
 }
 
-Tensor Tensor::Clone() const { return Detach(); }
-
 std::string Tensor::ToString() const {
   if (!defined()) return "Tensor(undefined)";
   std::ostringstream ss;

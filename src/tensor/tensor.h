@@ -175,10 +175,8 @@ class Tensor {
   /// graph references of visited nodes afterwards so memory is released.
   void Backward();
 
-  /// Returns a copy detached from the autograd graph.
+  /// Returns a deep copy (data only) detached from the autograd graph.
   Tensor Detach() const;
-  /// Deep copy (data only, detached).
-  Tensor Clone() const;
 
   /// Human-readable summary (shape + first few values).
   std::string ToString() const;

@@ -20,7 +20,6 @@ std::mutex& EmitMutex() {
 void SetLogLevel(LogLevel level) {
   g_level.store(level, std::memory_order_relaxed);
 }
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
 
 namespace internal {
 

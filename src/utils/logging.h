@@ -15,7 +15,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Sets the global minimum level that will be emitted.
 void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
 
 namespace internal {
 void LogEmit(LogLevel level, const std::string& msg);

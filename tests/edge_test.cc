@@ -63,8 +63,8 @@ TEST(EdgeTest, MaxLenLargerThanAnyHistory) {
 
 TEST(EdgeTest, MisslHandlesRowWithNoAuxEvents) {
   // Hand-build a dataset where one user's history before the cut is
-  // target-behavior only.
-  data::Dataset ds(2, 20, 2, "noaux");
+  // target-behavior only, and another's has no target-behavior event.
+  data::Dataset ds(3, 20, 2, "noaux");
   int64_t t = 0;
   // user 0: cart-only history.
   for (int item : {1, 2, 3, 4, 5}) {
@@ -75,20 +75,37 @@ TEST(EdgeTest, MisslHandlesRowWithNoAuxEvents) {
     ds.Add({1, item, data::Behavior::kClick, t++});
     ds.Add({1, item, data::Behavior::kCart, t++});
   }
+  // user 2: click-only history before a cart target.
+  for (int item : {9, 10, 11, 12}) {
+    ds.Add({2, item, data::Behavior::kClick, t++});
+  }
+  ds.Add({2, 13, data::Behavior::kCart, t++});
   ds.Finalize();
   data::BatchBuilder builder(ds, 6);
-  data::Batch b = builder.Build({{0, 4}, {1, 5}});
+  data::Batch b = builder.Build({{0, 4}, {1, 5}, {2, 4}});
   core::MisslConfig cfg;
   cfg.dim = 8;
   cfg.num_interests = 2;
   core::MisslModel model(ds.num_items(), ds.num_behaviors(), 6, cfg);
   Tensor loss = model.Loss(b);
   EXPECT_TRUE(std::isfinite(loss.item()));
-  // Click-channel interests for user 0 must be exactly zero (indicator).
-  Tensor vb = model.BehaviorInterests(b, 0);
+  // With the aux channels and the common interest off, UserInterests is the
+  // target channel's extraction alone. User 2 has no target-behavior event,
+  // so its interests must be exactly zero (indicator), not an attention
+  // average over masked positions. Every weight is drawn non-zero, as after
+  // training: at init the zero biases and LayerNorm shifts encode an empty
+  // row to zeros, and that average would read zero too.
+  cfg.use_aux_behaviors = false;
+  cfg.use_common_interest = false;
+  core::MisslModel target_only(ds.num_items(), ds.num_behaviors(), 6, cfg);
+  Rng rng(5);
+  for (Tensor& p : target_only.Parameters()) {
+    for (int64_t i = 0; i < p.numel(); ++i) p.data()[i] = rng.Uniform() - 0.5f;
+  }
+  Tensor v = target_only.UserInterests(b);
   for (int64_t k = 0; k < 2; ++k) {
     for (int64_t d = 0; d < 8; ++d) {
-      EXPECT_EQ(vb.at({0, k, d}), 0.0f);
+      EXPECT_EQ(v.at({2, k, d}), 0.0f);
     }
   }
 }

@@ -930,14 +930,14 @@ TEST(KernelPropertyTest, GradcheckOnSimdTier) {
   Tensor a = Tensor::Rand({3, 9}, &rng, -1.0f, 1.0f);
   Tensor b = Tensor::Rand({3, 9}, &rng, 0.5f, 1.5f);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Add(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Mul(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Div(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) { return Sum(MulScalar(in[0], -1.3f)); },
-      {a.Clone()});
+      {a.Detach()});
   Tensor ma = Tensor::Rand({4, 5}, &rng, -1.0f, 1.0f);
   Tensor mb = Tensor::Rand({5, 9}, &rng, -1.0f, 1.0f);
   GradCheck(
@@ -954,12 +954,12 @@ TEST(KernelPropertyTest, GradcheckOnSimdTier) {
   Tensor s = Tensor::Rand({2, 9}, &rng, -1.0f, 1.0f);
   GradCheck(
       [](const std::vector<Tensor>& in) { return Sum(Square(Softmax(in[0]))); },
-      {s.Clone()});
+      {s.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(LogSoftmax(in[0])));
       },
-      {s.Clone()});
+      {s.Detach()});
 }
 
 // ---- Contiguity guard -------------------------------------------------------

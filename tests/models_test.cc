@@ -191,8 +191,6 @@ TEST(MisslTest, InterestShapes) {
   EXPECT_EQ(v.size(0), f.batch.batch_size);
   EXPECT_EQ(v.size(1), 3);
   EXPECT_EQ(v.size(2), 16);
-  Tensor vb = model.BehaviorInterests(f.batch, 0);
-  EXPECT_EQ(vb.shape(), v.shape());
 }
 
 TEST(MisslTest, SingleInterestAblationForcesK1) {

@@ -177,7 +177,7 @@ TEST(AttentionTest, PaddingMaskBlocksPaddedKeys) {
   MultiHeadAttention mha(4, 1, 0.0f, &rng);
   Tensor q = Tensor::Randn({1, 1, 4}, &rng);
   Tensor kv1 = Tensor::Randn({1, 3, 4}, &rng);
-  Tensor kv2 = kv1.Clone();
+  Tensor kv2 = kv1.Detach();
   // Change masked positions only (positions 1 and 2).
   for (int64_t t = 1; t < 3; ++t)
     for (int64_t d = 0; d < 4; ++d) kv2.data()[t * 4 + d] += 5.0f;
@@ -225,7 +225,7 @@ TEST(TransformerTest, CausalEncoderIgnoresFuture) {
   TransformerEncoder enc(cfg, &rng);
   enc.SetTraining(false);
   Tensor x1 = Tensor::Randn({1, 4, 8}, &rng);
-  Tensor x2 = x1.Clone();
+  Tensor x2 = x1.Detach();
   for (int64_t t = 1; t < 4; ++t)
     for (int64_t d = 0; d < 8; ++d) x2.data()[t * 8 + d] += 3.0f;
   Tensor y1 = enc.Forward(x1);

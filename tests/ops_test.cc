@@ -98,13 +98,13 @@ TEST(OpsGrad, BinaryOpsGradCheck) {
   for (int64_t i = 0; i < b.numel(); ++i)
     b.data()[i] = b.data()[i] > 0 ? b.data()[i] + 1.0f : b.data()[i] - 1.0f;
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Add(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Sub(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Mul(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Div(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
 }
 
 TEST(OpsGrad, BroadcastGradReducesCorrectly) {
@@ -112,13 +112,13 @@ TEST(OpsGrad, BroadcastGradReducesCorrectly) {
   Tensor a = Tensor::Randn({2, 3}, &rng);
   Tensor b = Tensor::Randn({3}, &rng);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Mul(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   Tensor c = Tensor::Randn({2, 1}, &rng);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Mul(in[0], in[1])); },
-            {a.Clone(), c.Clone()});
+            {a.Detach(), c.Detach()});
   Tensor d = Tensor::Randn({4, 2, 3}, &rng);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Add(in[0], in[1])); },
-            {d.Clone(), a.Clone()});
+            {d.Detach(), a.Detach()});
 }
 
 TEST(OpsGrad, UnaryOpsGradCheck) {
@@ -130,27 +130,27 @@ TEST(OpsGrad, UnaryOpsGradCheck) {
     if (std::fabs(v) < 0.2f) a.data()[i] = v < 0 ? v - 0.3f : v + 0.3f;
   }
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Relu(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Gelu(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Sigmoid(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Tanh(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Exp(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   Tensor pos = Tensor::Rand({6}, &rng, 0.5f, 2.0f);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Log(in[0])); },
-            {pos.Clone()});
+            {pos.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Sqrt(in[0])); },
-            {pos.Clone()});
+            {pos.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Square(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Pow(in[0], 3.0f)); },
-            {pos.Clone()});
+            {pos.Detach()});
   // a was nudged away from 0 above, which is also Abs's kink.
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Abs(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
 }
 
 TEST(OpsGrad, ScalarOpsGradCheck) {
@@ -161,15 +161,15 @@ TEST(OpsGrad, ScalarOpsGradCheck) {
       [](const std::vector<Tensor>& in) {
         return Sum(Square(AddScalar(in[0], 0.7f)));
       },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(MulScalar(in[0], -1.6f)));
       },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) { return Sum(Square(Neg(in[0]))); },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST(OpsGrad, ClampGradCheck) {
@@ -180,7 +180,7 @@ TEST(OpsGrad, ClampGradCheck) {
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Clamp(in[0], -0.8f, 0.8f)));
       },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST(OpsGrad, DropoutGradCheck) {
@@ -193,7 +193,7 @@ TEST(OpsGrad, DropoutGradCheck) {
         Rng mask_rng(55);
         return Sum(Square(Dropout(in[0], 0.4f, true, &mask_rng)));
       },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST(OpsMatmul, MatMul2dValues) {
@@ -226,15 +226,15 @@ TEST(OpsMatmul, GradCheckAllForms) {
   Tensor b2 = Tensor::Randn({4, 2}, &rng);
   GradCheck(
       [](const std::vector<Tensor>& in) { return Sum(MatMul(in[0], in[1])); },
-      {a2.Clone(), b2.Clone()});
+      {a2.Detach(), b2.Detach()});
   Tensor a3 = Tensor::Randn({2, 3, 4}, &rng);
   Tensor b3 = Tensor::Randn({2, 4, 2}, &rng);
   GradCheck(
       [](const std::vector<Tensor>& in) { return Sum(MatMul(in[0], in[1])); },
-      {a3.Clone(), b3.Clone()});
+      {a3.Detach(), b3.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) { return Sum(MatMul(in[0], in[1])); },
-      {a3.Clone(), b2.Clone()});
+      {a3.Detach(), b2.Detach()});
 }
 
 TEST(OpsMatmul, TransposeValuesAndGrad) {
@@ -250,7 +250,7 @@ TEST(OpsMatmul, TransposeValuesAndGrad) {
       [](const std::vector<Tensor>& in) {
         return Sum(Mul(Transpose(in[0]), Transpose(in[0])));
       },
-      {b.Clone()});
+      {b.Detach()});
 }
 
 TEST(OpsShape, ReshapeInferredDim) {
@@ -289,17 +289,17 @@ TEST(OpsShape, ShapeOpsGradCheck) {
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Reshape(in[0], {3, 2})));
       },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Slice(in[0], 1, 0, 2)));
       },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Concat({in[0], in[1]}, 1)));
       },
-      {a.Clone(), b.Clone()});
+      {a.Detach(), b.Detach()});
 }
 
 TEST(OpsShape, IndexSelect0ValuesAndGrad) {
@@ -364,16 +364,16 @@ TEST(OpsReduce, ReduceGradCheck) {
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Sum(in[0], 1, false)));
       },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Mean(in[0], 2, true)));
       },
-      {a.Clone()});
+      {a.Detach()});
   // Full-tensor Mean (scalar output).
   GradCheck(
       [](const std::vector<Tensor>& in) { return Mean(Square(in[0])); },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST(OpsReduce, MaxGradCheck) {
@@ -384,7 +384,7 @@ TEST(OpsReduce, MaxGradCheck) {
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Max(in[0], 1, false)));
       },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST(OpsNN, SoftmaxRowsSumToOne) {
@@ -420,12 +420,12 @@ TEST(OpsNN, SoftmaxGradCheck) {
   Tensor w = Tensor::Randn({3, 4}, &rng);  // weights make grad non-trivial
   GradCheck(
       [&w](const std::vector<Tensor>& in) { return Sum(Mul(Softmax(in[0]), w)); },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [&w](const std::vector<Tensor>& in) {
         return Sum(Mul(LogSoftmax(in[0]), w));
       },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST(OpsNN, LayerNormNormalizesRows) {
@@ -458,7 +458,7 @@ TEST(OpsNN, LayerNormGradCheck) {
       [&w](const std::vector<Tensor>& in) {
         return Sum(Mul(LayerNorm(in[0], in[1], in[2]), w));
       },
-      {x.Clone(), g.Clone(), b.Clone()}, 1e-2f, 8e-2f, 2e-3f);
+      {x.Detach(), g.Detach(), b.Detach()}, 1e-2f, 8e-2f, 2e-3f);
 }
 
 TEST(OpsNN, DropoutIdentityWhenEval) {
@@ -506,7 +506,7 @@ TEST(OpsNN, CrossEntropyGradCheck) {
       [&targets](const std::vector<Tensor>& in) {
         return CrossEntropyLoss(in[0], targets);
       },
-      {logits.Clone()});
+      {logits.Detach()});
 }
 
 TEST(OpsNN, L2NormalizeUnitNorm) {
@@ -526,7 +526,7 @@ TEST(OpsNN, L2NormalizeGradCheck) {
       [&w](const std::vector<Tensor>& in) {
         return Sum(Mul(L2Normalize(in[0]), w));
       },
-      {x.Clone()});
+      {x.Detach()});
 }
 
 // Gradchecks under a multi-threaded runtime: the analytic backward passes
@@ -609,13 +609,13 @@ TEST_F(OpsSimd, BinaryOpsGradCheck) {
   Tensor a = Tensor::Randn({3, 9}, &rng);
   Tensor b = Tensor::Rand({3, 9}, &rng, 0.5f, 2.0f);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Add(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Sub(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Mul(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Div(in[0], in[1])); },
-            {a.Clone(), b.Clone()});
+            {a.Detach(), b.Detach()});
 }
 
 TEST_F(OpsSimd, ScalarAndReluGradCheck) {
@@ -626,17 +626,17 @@ TEST_F(OpsSimd, ScalarAndReluGradCheck) {
     if (std::fabs(v) < 0.2f) a.data()[i] = v < 0 ? v - 0.3f : v + 0.3f;
   }
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Relu(in[0])); },
-            {a.Clone()});
+            {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(AddScalar(in[0], -0.4f)));
       },
-      {a.Clone()});
+      {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(MulScalar(in[0], 2.3f)));
       },
-      {a.Clone()});
+      {a.Detach()});
 }
 
 TEST_F(OpsSimd, MatMulAllFormsGradCheck) {

@@ -84,7 +84,7 @@ TEST_P(BroadcastProperty, GradSumsOverBroadcastDims) {
       [](const std::vector<Tensor>& in) {
         return Sum(Square(Mul(in[0], in[1])));
       },
-      {a.Clone(), b.Clone()});
+      {a.Detach(), b.Detach()});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomShapes, BroadcastProperty,

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -36,9 +37,11 @@ TEST(ParallelForTest, EmptyRangeNeverInvokesBody) {
 TEST(ParallelForTest, RangeSmallerThanGrainIsOneInlineCall) {
   ScopedNumThreads t(4);
   std::vector<std::pair<int64_t, int64_t>> spans;
+  const std::thread::id caller = std::this_thread::get_id();
   ParallelFor(3, 7, 100, [&](int64_t b, int64_t e) {
     spans.emplace_back(b, e);  // single call -> no synchronization needed
-    EXPECT_FALSE(InParallelRegion()) << "single chunk must run inline";
+    EXPECT_EQ(std::this_thread::get_id(), caller)
+        << "single chunk must run inline";
   });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0], (std::pair<int64_t, int64_t>{3, 7}));
@@ -76,7 +79,6 @@ TEST(ParallelForTest, NestedCallsRunInline) {
   ScopedNumThreads t(4);
   std::atomic<int> inner_calls{0};
   ParallelFor(0, 8, 1, [&](int64_t, int64_t) {
-    EXPECT_TRUE(InParallelRegion());
     // A kernel invoked from inside a parallel region must not re-enter the
     // pool; its ParallelFor degenerates to one inline call.
     int local = 0;
@@ -88,8 +90,12 @@ TEST(ParallelForTest, NestedCallsRunInline) {
     EXPECT_EQ(local, 1);
     ++inner_calls;
   });
-  EXPECT_FALSE(InParallelRegion());
   EXPECT_EQ(inner_calls.load(), 8);
+  // Leaving the region restores the caller: a later top-level loop splits
+  // into chunks again instead of staying inline.
+  std::atomic<int> chunks{0};
+  ParallelFor(0, 8, 1, [&](int64_t, int64_t) { ++chunks; });
+  EXPECT_GT(chunks.load(), 1);
 }
 
 TEST(ParallelForTest, WorkersInheritGradMode) {

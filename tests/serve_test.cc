@@ -201,7 +201,8 @@ TEST(RecoServiceTest, BatcherCoalescesAndRecordsMetrics) {
   obs::SetMetricsEnabled(true);
   auto& reg = obs::MetricsRegistry::Global();
   int64_t requests_before = reg.GetCounter("serve.requests").value();
-  int64_t wait_count_before = reg.GetHistogram("serve.queue_wait_ns").count();
+  int64_t wait_count_before =
+      reg.GetHistogram("serve.stage.batch_ns").count();
   int64_t size_count_before = reg.GetHistogram("serve.batch_size").count();
 
   auto model = MakeModel(6);
@@ -239,7 +240,7 @@ TEST(RecoServiceTest, BatcherCoalescesAndRecordsMetrics) {
   // have coalesced at least some of them.
   EXPECT_LE(service->batches_run(), 4);
   EXPECT_EQ(reg.GetCounter("serve.requests").value() - requests_before, 8);
-  EXPECT_EQ(reg.GetHistogram("serve.queue_wait_ns").count() -
+  EXPECT_EQ(reg.GetHistogram("serve.stage.batch_ns").count() -
                 wait_count_before, 8);
   EXPECT_EQ(reg.GetHistogram("serve.batch_size").count() - size_count_before,
             service->batches_run());

@@ -1,7 +1,8 @@
 // Tests for the utility substrate: Status, Table rendering, RNG statistical
-// sanity, and logging levels.
+// sanity, and logging level filtering.
 #include <cmath>
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -134,11 +135,15 @@ TEST(RngDeathTest, CategoricalRejectsAllZeros) {
 }
 
 TEST(LoggingTest, LevelFilters) {
-  LogLevel prev = GetLogLevel();
   SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
+  testing::internal::CaptureStderr();
   MISSL_LOG_INFO << "this should be swallowed";
-  SetLogLevel(prev);
+  MISSL_LOG_ERROR << "this should be printed";
+  const std::string err = testing::internal::GetCapturedStderr();
+  SetLogLevel(LogLevel::kInfo);  // the default in logging.cc
+  EXPECT_EQ(err.find("swallowed"), std::string::npos) << err;
+  EXPECT_NE(err.find("[E] this should be printed\n"), std::string::npos)
+      << err;
 }
 
 }  // namespace
