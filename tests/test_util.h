@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: finite-difference gradient checking,
-// tolerant float comparison, and the planned executor's top-k parity check.
+// tolerant float comparison, the planned executor's top-k parity check, and
+// the histogram difference that metric tests assert on.
 #ifndef MISSL_TESTS_TEST_UTIL_H_
 #define MISSL_TESTS_TEST_UTIL_H_
 
@@ -15,6 +16,7 @@
 #include "core/recommend.h"
 #include "data/batch.h"
 #include "infer/plan.h"
+#include "obs/metrics.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -126,6 +128,21 @@ inline void ExpectRunTopKMatchesTopKRow(infer::PlannedExecutor* plan,
       }
     }
   }
+}
+
+/// The observations made between two snapshots of one histogram.
+/// Instruments live for the process and are never zeroed, so a case that
+/// checks a histogram's shape subtracts what earlier cases (or an earlier
+/// --gtest_repeat run) left in it.
+inline obs::HistogramSnapshot HistogramDelta(
+    const obs::HistogramSnapshot& before, const obs::HistogramSnapshot& after) {
+  obs::HistogramSnapshot d;
+  d.count = after.count - before.count;
+  d.sum = after.sum - before.sum;
+  for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    d.buckets[i] = after.buckets[i] - before.buckets[i];
+  }
+  return d;
 }
 
 }  // namespace missl::testing
