@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
     NoGradGuard ng;
     auto model = baselines::CreateModel("MISSL", wb.ds, zc);
     model->SetTraining(false);
-    Tensor catalog = model->PrecomputeCatalog();
     auto* missl = dynamic_cast<core::MisslModel*>(model.get());
     infer::InferConfig options;
     options.quantize_catalog = quantize;
@@ -153,8 +152,8 @@ int main(int argc, char** argv) {
     // steady-state churn.
     auto plan = missl == nullptr
                     ? nullptr
-                    : infer::PlannedExecutor::Compile(*missl, catalog, kBatch,
-                                                      options, &status);
+                    : infer::PlannedExecutor::Compile(*missl, kBatch, options,
+                                                      &status);
     if (plan == nullptr) {
       std::fprintf(stderr, "FAIL: planned-executor compile: %s\n",
                    status.ToString().c_str());

@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   Tensor catalog = model->PrecomputeCatalog();
 
   Status status;
-  auto plan =
-      infer::PlannedExecutor::Compile(*missl, catalog, kBatch, &status);
+  auto plan = infer::PlannedExecutor::Compile(*missl, kBatch, &status);
   if (plan == nullptr) {
     std::fprintf(stderr, "FAIL: plan compilation: %s\n",
                  status.ToString().c_str());
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
   infer::InferConfig icfg;
   icfg.quantize_catalog = true;
   auto plan_q =
-      infer::PlannedExecutor::Compile(*missl, catalog, kBatch, icfg, &status);
+      infer::PlannedExecutor::Compile(*missl, kBatch, icfg, &status);
   if (plan_q == nullptr) {
     std::fprintf(stderr, "FAIL: int8 plan compilation: %s\n",
                  status.ToString().c_str());

@@ -102,16 +102,24 @@ grep -q '_bucket{le="+Inf"}' <<< "$metrics" || { echo "admin_smoke: /metrics mis
 
 echo "admin_smoke: /statusz"
 # Valid JSON, and it must report the precision the server was launched with
-# (and no executor selector: the compiled plan is the only scoring path)
-# plus the int8 catalog stats (docs/INFERENCE.md): quantization enabled,
-# sane per-row scales, and the ~4x catalog memory saving. The span rings
-# have no on/off switch, so their block carries no "enabled" field.
+# (and no executor selector: the compiled plan is the only scoring path),
+# the configured thread count (0, missl_serve has no flag for it) next to
+# the count it resolved to (MISSL_NUM_THREADS if set, else the CPUs this
+# process may run on), plus the int8 catalog stats (docs/INFERENCE.md):
+# quantization enabled, sane per-row scales, and the ~4x catalog memory
+# saving. The span rings have no on/off switch, so their block carries no
+# "enabled" field.
 fetch "$base/statusz" | python3 -c '
-import json, sys
+import json, os, sys
 s = json.load(sys.stdin)
 sc = s["serve_config"]
 assert "executor" not in sc, sc
 assert sc["precision"] == "int8", sc
+env = os.environ.get("MISSL_NUM_THREADS", "")
+cpus = len(os.sched_getaffinity(0))
+want = cpus if env in ("", "0", "auto") else max(1, int(env))
+assert sc["num_threads"] == 0, sc
+assert sc["resolved_num_threads"] == want, (sc, want)
 q = s["quant"]
 assert q["enabled"] is True, q
 assert 0 < q["min_scale"] <= q["max_scale"], q

@@ -75,13 +75,12 @@ const float* PlannedExecutor::AddConstant(std::vector<float> values) {
 }
 
 std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
-    const core::MisslModel& model, const Tensor& catalog, int64_t max_batch,
-    Status* status) {
-  return Compile(model, catalog, max_batch, InferConfig{}, status);
+    const core::MisslModel& model, int64_t max_batch, Status* status) {
+  return Compile(model, max_batch, InferConfig{}, status);
 }
 
 std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
-    const core::MisslModel& model, const Tensor& catalog, int64_t max_batch,
+    const core::MisslModel& model, int64_t max_batch,
     const InferConfig& options, Status* status) {
   MISSL_CHECK(status != nullptr);
   *status = Status::OK();
@@ -126,14 +125,6 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   Tensor& beh_w = param("beh_emb.weight");  // [nb, d]
   ex->num_behaviors_ = static_cast<int32_t>(beh_w.size(0));
   const int32_t nb = ex->num_behaviors_;
-
-  if (!catalog.defined() || catalog.dim() != 2 || catalog.size(0) != d ||
-      catalog.size(1) != ex->num_items_) {
-    *status = Status::InvalidArgument(
-        "planned executor: catalog must be the [dim, num_items] transposed "
-        "item table from PrecomputeCatalog");
-    return nullptr;
-  }
 
   MISSL_CHECK(cfg.heads >= 1 && d % cfg.heads == 0)
       << "planned executor: heads must divide dim";
@@ -597,27 +588,20 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       kMaxStripes * (act_rows + (mean_routing ? 0 : 1)) * kTileCols,
       "catalog_tiles");
   if (!options.quantize_catalog) {
-    // Only the fp32 plan reads the [d, V] catalog, so only it shares
-    // ownership; an int8 plan lets the caller's copy go.
-    ex->keepalive_.push_back(catalog);
+    // The fp32 score reads the item table itself, one transposed tile per
+    // stripe at a time.
     op.label = mean_routing ? "catalog_score(mean)" : "catalog_score(max)";
-    op.w = catalog.data();
+    op.w = need("item_emb.weight");
+    ex->tile_t_ =
+        std::make_unique_for_overwrite<float[]>(kMaxStripes * d * kTileCols);
   } else {
-    // Int8 tier: quantize the catalog once, per item. PrecomputeCatalog
-    // hands the [d, V] transposed table; repack item-major [V, d] so each
-    // item score is one contiguous int8 row-dot, with one fp32 scale per
-    // item (symmetric, zero-safe — tensor/quant.h).
-    const float* cat = catalog.data();
-    std::vector<float> rows(static_cast<size_t>(V * d));
-    for (int64_t v = 0; v < V; ++v) {
-      for (int64_t j = 0; j < d; ++j) {
-        rows[static_cast<size_t>(v * d + j)] = cat[j * V + v];
-      }
-    }
+    // Int8 tier: quantize the item table once, per item, so each item score
+    // is one contiguous int8 row-dot, with one fp32 scale per item
+    // (symmetric, zero-safe — tensor/quant.h).
     ex->catalog_q_.resize(static_cast<size_t>(V * d));
     ex->catalog_scale_.resize(static_cast<size_t>(V));
     quant::RowQuantStats st;
-    quant::QuantizeRowsSymmetric(rows.data(), V, d, ex->catalog_q_.data(),
+    quant::QuantizeRowsSymmetric(item_w.data(), V, d, ex->catalog_q_.data(),
                                  ex->catalog_scale_.data(), &st);
     ex->qinfo_.enabled = true;
     ex->qinfo_.min_scale = st.min_scale;

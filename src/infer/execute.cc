@@ -121,6 +121,14 @@ void PlannedExecutor::RunOps(const data::Batch& batch) {
   }
   orig_behs_ = mb;
 
+  // One rule decides whether this batch may wake the pool at all (see
+  // kSerialFloorMacs); the override scopes this thread only. The catalog
+  // score runs one activation row per interest (max routing) or one per
+  // batch row (mean routing).
+  const int64_t act_rows =
+      cfg_.routing == core::InterestRouting::kMean ? b : b * k_;
+  const bool serial = act_rows * num_items_ * d_ < kSerialFloorMacs;
+  runtime::ScopedNumThreads threads(serial ? 1 : runtime::NumThreads());
   for (const Op& op : ops_) Execute(op, b);
 
   InferMetrics& m = InferMetrics::Get();
@@ -507,19 +515,23 @@ void PlannedExecutor::ExecBroadcastAddRow(const Op& op, int64_t b) {
 // Catalog scoring, one column tile at a time. Per tile, every activation
 // row (the b·K fused interests, or the b interest means under mean routing)
 // is scored against the tile's columns into an op-private tile: fp32 by
-// GemmRows reading the [d, V] catalog in place (ldb = V), so each cell keeps
-// the ascending-k chain of the full-width MatMul; int8 by the exact integer
-// dot with the fixed (act_scale * item_scale) * float(dot) dequant. Max
-// routing then folds K rows per column with the strict-> ascending-K scan
-// of Max (ops_reduce.cc). So every routed score is bitwise the value the
-// full [b, V] computation produces, and the sink decides what happens to
-// it: Run copies it into the score matrix, RunTopK selects from it.
+// transposing the tile's item rows into a [d, kTileCols] block (a pure
+// copy) and running GemmRows on it, so each cell keeps the ascending-k chain
+// of the full-width MatMul over PrecomputeCatalog's [d, V] matrix; int8 by
+// the exact integer dot with the fixed (act_scale * item_scale) *
+// float(dot) dequant. Max routing then folds K rows per column with the
+// strict-> ascending-K scan of Max (ops_reduce.cc). So every routed score is
+// bitwise the value the full [b, V] computation produces, and the sink
+// decides what happens to it: Run copies it into the score matrix, RunTopK
+// selects from it.
 //
-// The columns are split into stripes of whole tiles, one per ParallelFor
-// chunk; each chunk owns a tile and its stripes' per-row heaps. A heap keeps
-// the best min(k, stripe width) entries under core::RanksBefore, a strict
-// total order, so the rows' merged lists are the same for every partition:
-// results stay bitwise identical across tiers and thread counts.
+// The columns are split into min(tiles, kMaxStripes) stripes of whole
+// tiles, and ParallelFor hands out chunks of stripes; each chunk owns its
+// stripes' tiles and one heap per row across them. The stripe count depends
+// on V alone, and a heap keeps the best min(k, chunk width) entries under
+// core::RanksBefore, a strict total order, so the rows' merged lists are
+// the same for every partition: results stay bitwise identical across
+// tiers and thread counts.
 void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
   const int64_t K = op.k, d = op.in, V = op.out;
   const bool mean = op.flag;
@@ -543,8 +555,7 @@ void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
   }
   constexpr int64_t TW = kTileCols;
   const int64_t ntiles = (V + TW - 1) / TW;
-  const int64_t stripes = std::min<int64_t>(
-      {static_cast<int64_t>(runtime::NumThreads()), ntiles, kMaxStripes});
+  const int64_t stripes = std::min(ntiles, kMaxStripes);
   auto stripe_tiles = [&](int64_t s) {
     return std::pair<int64_t, int64_t>(s * ntiles / stripes,
                                        (s + 1) * ntiles / stripes);
@@ -571,13 +582,24 @@ void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
   runtime::ParallelFor(0, stripes, 1, [&](int64_t s0, int64_t s1) {
     float* raw = tiles + s0 * tile_floats;
     float* routed = mean ? raw : raw + rows * TW;
+    float* bt = op.wq == nullptr ? tile_t_.get() + s0 * d * TW : nullptr;
+    // Each row's heap slots for stripes [s0, s1) sit back to back, so the
+    // chunk's first heap takes them all; the later ones stay empty.
+    for (int64_t r = 0; specs_ != nullptr && r < b; ++r) {
+      Heap& h = heaps_[static_cast<size_t>(s0 * max_batch_ + r)];
+      for (int64_t s = s0 + 1; s < s1; ++s) {
+        h.cap += heaps_[static_cast<size_t>(s * max_batch_ + r)].cap;
+      }
+      h.cap = std::min<int64_t>(h.cap, specs_[r].k);
+    }
     for (int64_t s = s0; s < s1; ++s) {
       const auto [t0, t1] = stripe_tiles(s);
       for (int64_t tile = t0; tile < t1; ++tile) {
         const int64_t c0 = tile * TW, tw = std::min(TW, V - c0);
         if (op.wq == nullptr) {
+          simd::TransposeTile(op.w + c0 * d, d, bt, TW, tw, d);
           std::fill(raw, raw + rows * TW, 0.0f);
-          simd::GemmRows(act, op.w + c0, raw, d, tw, V, TW, 0, rows);
+          simd::GemmRows(act, bt, raw, d, tw, TW, TW, 0, rows);
         } else {
           simd::Int8DotDequantTile(act_q_.data(), act_scale_.data(), rows,
                                    op.wq + c0 * d, op.wscale + c0, raw, TW,
@@ -599,7 +621,7 @@ void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
           if (!mean) {
             simd::MaxRows(raw + r * K * TW, K, TW, routed + r * TW, tw);
           }
-          PushTile(s * max_batch_ + r, specs_[r], routed + r * TW, c0, tw);
+          PushTile(s0 * max_batch_ + r, specs_[r], routed + r * TW, c0, tw);
         }
       }
     }
@@ -624,7 +646,7 @@ void PlannedExecutor::ExecCatalogScore(const Op& op, int64_t b) {
 }
 
 // A bounded heap with its worst entry on top. Columns arrive in ascending
-// id order within a stripe, so a column whose score only ties the worst
+// id order within a chunk, so a column whose score only ties the worst
 // loses the id tie-break: once the heap is full, FindFirstGreater can skip
 // every column not strictly above the worst score (a NaN worst, which any
 // number beats, disables the skip). Exclusions are skipped by merge-walk.

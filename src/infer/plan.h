@@ -109,14 +109,17 @@ struct BufferSpec {
 ///   kGatedFuse:        scale = sigmoid(fusion_gate) plan constant.
 ///   kCommonPool:       src = encoded, dst = [d] pooled common interest.
 ///   kBroadcastAddRow:  src2 = [d] row added to each of the K interest rows.
-///   kCatalogScore:     w = fp32 catalog [d, V], or (int8 tier, w null)
+///   kCatalogScore:     w = fp32 item table [V, d] (item-major; each tile
+///                      is transposed into a per-stripe [d, kTileCols]
+///                      block before its GEMM), or (int8 tier, w null)
 ///                      wq/wscale = item-major int8 catalog [V, d] + per-item
 ///                      scales [V]; flag = mean routing; dst = the Run score
 ///                      sink [V]; scratch = per-stripe tiles (raw interest
 ///                      rows x kTileCols, then the routed rows); scratch2 =
-///                      interest mean ([d], mean routing only). The int8
-///                      activation rows and the top-k candidate lists live
-///                      in presized executor members, not the float arena.
+///                      interest mean ([d], mean routing only). The
+///                      transposed tiles, the int8 activation rows and the
+///                      top-k candidate lists live in presized executor
+///                      members, not the float arena.
 struct Op {
   OpKind kind = OpKind::kLinear;
   std::string label;
@@ -187,29 +190,42 @@ struct RankedRow {
 /// A frozen MisslModel forward compiled to a static op plan. Thread-safety:
 /// Compile is safe anywhere; Run and RunTopK mutate the scratch arena, so at
 /// most one run may execute at a time (RecoService calls it from the single
-/// dispatcher thread). The model's parameters — and, for an fp32 plan, the
-/// catalog — are kept alive by the executor (shared storage), so the
-/// executor may outlive the model object and the caller's catalog handle.
+/// dispatcher thread). The model's parameters are kept alive by the executor
+/// (shared storage), so the executor may outlive the model object.
 class PlannedExecutor {
  public:
   /// Compiles the serving forward of `model` (weights must already be
-  /// frozen/loaded) against `catalog` (the [d, V] PrecomputeCatalog matrix)
-  /// for batches of at most `max_batch` rows of exactly model.max_len()
-  /// positions. An int8 plan keeps only its quantized copy of the catalog.
-  /// Returns nullptr with *status set on an unsupported model/catalog
-  /// combination; never allocates after it returns.
+  /// frozen/loaded) for batches of at most `max_batch` rows of exactly
+  /// model.max_len() positions. The fp32 catalog score reads the model's
+  /// item-major item table, the one the input embedding gathers from, so
+  /// the plan holds no second copy of it; an int8 plan keeps only its
+  /// quantized copy. Returns nullptr with *status set on an unsupported
+  /// model; never allocates after it returns.
   static std::unique_ptr<PlannedExecutor> Compile(const core::MisslModel& model,
-                                                  const Tensor& catalog,
                                                   int64_t max_batch,
                                                   Status* status);
 
   /// Same, with compile-time options (InferConfig::quantize_catalog selects
   /// the int8 catalog tier). The overload above is Compile(..., {} , ...).
   static std::unique_ptr<PlannedExecutor> Compile(const core::MisslModel& model,
-                                                  const Tensor& catalog,
                                                   int64_t max_batch,
                                                   const InferConfig& options,
                                                   Status* status);
+
+  /// The same two, kept only for bench/ledger's probes, which still pass the
+  /// [d, V] PrecomputeCatalog matrix; the plan does not read it, so a wrong
+  /// catalog is not rejected. Delete both once the probes drop the argument
+  /// (ROADMAP item 10).
+  static std::unique_ptr<PlannedExecutor> Compile(
+      const core::MisslModel& model, const Tensor& /*catalog*/,
+      int64_t max_batch, Status* status) {
+    return Compile(model, max_batch, status);
+  }
+  static std::unique_ptr<PlannedExecutor> Compile(
+      const core::MisslModel& model, const Tensor& /*catalog*/,
+      int64_t max_batch, const InferConfig& options, Status* status) {
+    return Compile(model, max_batch, options, status);
+  }
 
   /// Executes the plan on `batch` and returns the [batch_size, num_items]
   /// row-major score matrix, resident in the plan's arena (valid until the
@@ -236,9 +252,26 @@ class PlannedExecutor {
   /// floats at most, 12 KiB at b = 16, K = 3) stays L1/L2-resident while it
   /// is routed and ranked.
   static constexpr int64_t kTileCols = 64;
-  /// Upper bound on the column stripes one catalog pass is split into (one
-  /// per ParallelFor chunk, each with its own tile and candidate lists).
+  /// Column stripes one catalog pass is split into, at most (one per
+  /// ParallelFor chunk, each with its own tiles and candidate lists). The
+  /// count is min(tiles, kMaxStripes): a function of V alone, so the
+  /// partition never depends on the thread count.
   static constexpr int64_t kMaxStripes = 8;
+  /// Batches with fewer multiply-adds in the catalog score (rows·V·d, with
+  /// rows = b·K under max routing and b under mean routing) run on the
+  /// calling thread alone. A batch opens ~25 parallel regions, and
+  /// each pays a worker wake-up (runtime.pool.queue_wait_ns, ~8 us mean)
+  /// and a join (runtime.pool.join_wait_ns, ~8 us) on a 4-CPU x86 box, while
+  /// one thread scores ~5 catalog multiply-adds per ns. Measured there at
+  /// d = 32, K = 3, 4 threads against 1: b = 1 at V = 20,000 (1.9 M) took
+  /// 463 us against 360 us, b = 8 at V = 2,000 (1.5 M) tied, b = 16 at
+  /// V = 2,000 (3.1 M) won 10 % and b = 16 at V = 20,000 (31 M) 2.8x.
+  /// The floor sits above 3.1 M all the same: a full batch on a 2,000-item
+  /// catalog gains little, and an open-loop server sees one only after a
+  /// backlog, where waking the pool spawns three workers that stay and
+  /// hold ~0.3 MiB of an ~8 MiB process. These are max-routing
+  /// measurements; mean routing uses the same floor.
+  static constexpr int64_t kSerialFloorMacs = 4'000'000;
 
   int64_t num_ops() const { return static_cast<int64_t>(ops_.size()); }
   /// Bytes of the pooled scratch arena (buffers packed by live range).
@@ -283,7 +316,7 @@ class PlannedExecutor {
   /// Shared body of Run and RunTopK; specs_ selects the catalog sink.
   void RunOps(const data::Batch& batch);
   /// Pushes routed scores x[0, n) of columns [c0, c0 + n) into the
-  /// stripe-local heap heaps_[heap].
+  /// chunk-local heap heaps_[heap].
   void PushTile(int64_t heap, const RankSpec& spec, const float* x,
                 int64_t c0, int64_t n);
 
@@ -310,10 +343,16 @@ class PlannedExecutor {
   std::deque<std::vector<float>> constants_;  ///< plan-time derived weights
   std::vector<Tensor> keepalive_;  ///< shares ownership of referenced params
 
+  // Fp32 catalog tier: one transposed [d, kTileCols] tile slot per stripe.
+  // A chunk uses its first stripe's slot and writes it before reading it,
+  // so a serial batch makes only one slot resident.
+  std::unique_ptr<float[]> tile_t_;
+
   // Int8 catalog tier (InferConfig::quantize_catalog). The quantized
-  // catalog is repacked item-major so each item score is one contiguous
-  // int8 row-dot; the activation-side buffers are presized at compile so
-  // Run stays allocation-free (same rule as the integer id scratch below).
+  // catalog is item-major, like the item table it is quantized from, so
+  // each item score is one contiguous int8 row-dot; the activation-side
+  // buffers are presized at compile so Run stays allocation-free (same rule
+  // as the integer id scratch below).
   QuantInfo qinfo_;
   std::vector<int8_t> catalog_q_;      ///< [V, d] item-major int8 codes
   std::vector<float> catalog_scale_;   ///< [V] per-item scales

@@ -12,8 +12,10 @@
 // Under (a)/(b) the floating-point result is independent of the partition
 // and of which thread runs which chunk, so any thread count — including the
 // serial threads=1 fallback, which is the exact pre-runtime code path —
-// produces bitwise-identical outputs. No atomics, no per-thread scratch
-// buffers whose merge order could re-associate sums.
+// produces bitwise-identical outputs. Loop bodies use no atomics and no
+// per-thread scratch buffers whose merge order could re-associate sums; the
+// only atomic is the pool's chunk claim counter, which decides which thread
+// runs a chunk, never what the chunk computes.
 //
 // Nested ParallelFor calls (e.g. tensor kernels invoked from a parallel
 // evaluation batch) execute inline on the calling worker.

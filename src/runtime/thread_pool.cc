@@ -17,14 +17,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Prewarm(int participants) {
-  if (participants <= 1) return;
-  // job_mu_ orders this against concurrent Run calls, exactly like the
-  // EnsureWorkers call inside Run.
-  std::lock_guard<std::mutex> job_lock(job_mu_);
-  EnsureWorkers(participants - 1);
-}
-
 int ThreadPool::num_workers() const {
   std::lock_guard<std::mutex> l(mu_);
   return static_cast<int>(workers_.size());
@@ -59,24 +51,32 @@ void ThreadPool::WorkerLoop(int worker_index, uint64_t initial_gen) {
     work_cv_.wait(l, [&] { return shutdown_ || gen_ != seen; });
     if (shutdown_) return;
     seen = gen_;
-    int participant = worker_index + 1;  // participant 0 is the caller
-    if (participant >= participants_) continue;
+    // A job that is full, or already closed by a caller that ran out of
+    // chunks, is not joined.
+    if (open_seats_ == 0) continue;
+    --open_seats_;
+    ++active_;
     const std::function<void(int64_t)>* fn = fn_;
-    int64_t nchunks = nchunks_;
-    int stride = participants_;
-    int64_t publish_ns = publish_ns_;
+    const int64_t nchunks = nchunks_;
+    const int64_t publish_ns = publish_ns_;
     l.unlock();
     if (obs::MetricsEnabled() && publish_ns != 0) {
       queue_wait.Observe(obs::NowNanos() - publish_ns);
     }
+    int64_t ran = 0;
     {
       static constexpr obs::SpanSite kRunSpan{"pool.run", "runtime"};
       obs::TraceSpan run_span(kRunSpan);
-      for (int64_t c = participant; c < nchunks; c += stride) (*fn)(c);
+      for (int64_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
+           c < nchunks;
+           c = next_chunk_.fetch_add(1, std::memory_order_relaxed)) {
+        (*fn)(c);
+        ++ran;
+      }
     }
-    chunk_counter.Add((nchunks - participant + stride - 1) / stride);
+    chunk_counter.Add(ran);
     l.lock();
-    if (--remaining_ == 0) done_cv_.notify_all();
+    if (--active_ == 0 && open_seats_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -100,24 +100,36 @@ void ThreadPool::Run(int64_t nchunks, int participants,
       obs::MetricsRegistry::Global().GetCounter("runtime.pool.chunks");
   static obs::Counter& caller_chunks =
       obs::MetricsRegistry::Global().GetCounter("runtime.pool.caller.chunks");
+  static obs::Histogram& join_wait =
+      obs::MetricsRegistry::Global().GetHistogram("runtime.pool.join_wait_ns");
   job_counter.Add(1);
   total_chunks.Add(nchunks);
-  caller_chunks.Add((nchunks + participants - 1) / participants);
   EnsureWorkers(participants - 1);
   {
     std::lock_guard<std::mutex> l(mu_);
     fn_ = &fn;
     nchunks_ = nchunks;
-    participants_ = participants;
-    remaining_ = participants - 1;
+    open_seats_ = participants - 1;
+    next_chunk_.store(0, std::memory_order_relaxed);
     publish_ns_ = obs::MetricsEnabled() ? obs::NowNanos() : 0;
     ++gen_;
   }
   work_cv_.notify_all();
-  for (int64_t c = 0; c < nchunks; c += participants) fn(c);
+  int64_t ran = 0;
+  for (int64_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
+       c < nchunks; c = next_chunk_.fetch_add(1, std::memory_order_relaxed)) {
+    fn(c);
+    ++ran;
+  }
+  caller_chunks.Add(ran);
+  // Every chunk is claimed: close the job to late wakers and wait for the
+  // workers that joined to finish the chunks they hold.
+  const int64_t closed_ns = obs::MetricsEnabled() ? obs::NowNanos() : 0;
   std::unique_lock<std::mutex> l(mu_);
-  done_cv_.wait(l, [&] { return remaining_ == 0; });
+  open_seats_ = 0;
+  done_cv_.wait(l, [&] { return active_ == 0; });
   fn_ = nullptr;
+  if (closed_ns != 0) join_wait.Observe(obs::NowNanos() - closed_ns);
 }
 
 }  // namespace missl::runtime

@@ -1,16 +1,21 @@
 // A deliberately simple thread pool for deterministic data parallelism.
-// There is no work stealing and no dynamic chunk claiming: a job is a fixed
-// number of chunks, and chunk c is executed by participant (c mod P) — the
-// caller is participant 0, pool workers are participants 1..P-1. Which
-// thread runs a chunk therefore never depends on timing, and because every
-// kernel built on top writes disjoint outputs per chunk (see
-// docs/RUNTIME.md), results are bitwise identical at any thread count.
+// A job is a fixed number of chunks whose boundaries the caller chose
+// before the job starts (ParallelFor's static partition). Participants claim
+// chunks from one atomic counter: the caller is participant 0, and pool
+// workers join as they wake, up to participants-1 of them. Once the caller
+// finds no chunk left to claim it closes the job, so a worker that wakes
+// late joins nothing, and the caller waits only for the workers that did
+// join. Which thread runs a chunk therefore depends on timing, but what a
+// chunk computes does not: every kernel built on top writes disjoint
+// outputs per chunk (see docs/RUNTIME.md), so results are bitwise identical
+// at any thread count.
 //
 // Most code should not use this class directly; use ParallelFor from
 // runtime/parallel_for.h.
 #ifndef MISSL_RUNTIME_THREAD_POOL_H_
 #define MISSL_RUNTIME_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -29,19 +34,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Executes fn(c) for every chunk c in [0, nchunks) across `participants`
-  /// threads (the caller plus participants-1 workers, spawned on demand).
-  /// Blocks until every chunk has run. Jobs are serialized: concurrent Run
-  /// calls from different threads queue behind one mutex. `fn` must be safe
-  /// to invoke concurrently from several threads on distinct chunks.
+  /// Executes fn(c) exactly once for every chunk c in [0, nchunks) across
+  /// at most `participants` threads (the caller plus up to participants-1
+  /// workers, spawned on first use). Blocks until every chunk has run.
+  /// Jobs are serialized: concurrent Run calls from different threads queue
+  /// behind one mutex. `fn` must be safe to invoke concurrently from
+  /// several threads on distinct chunks.
   void Run(int64_t nchunks, int participants,
            const std::function<void(int64_t)>& fn);
-
-  /// Pre-spawns enough workers for a `participants`-thread job so the first
-  /// job after startup does not pay thread-creation latency. Used by the
-  /// serving path (src/serve/), where the first request's tail latency
-  /// matters. Safe to call concurrently with running jobs; never shrinks.
-  void Prewarm(int participants);
 
   /// Workers currently alive (grows on demand, never shrinks).
   int num_workers() const;
@@ -60,15 +60,17 @@ class ThreadPool {
   /// Guards the per-job state below.
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait here for a new job
-  std::condition_variable done_cv_;  ///< the caller waits here for completion
+  std::condition_variable done_cv_;  ///< the caller waits here for joiners
   std::vector<std::thread> workers_;
   const std::function<void(int64_t)>* fn_ = nullptr;
   int64_t nchunks_ = 0;
-  int participants_ = 0;
   uint64_t gen_ = 0;     ///< job generation counter (workers detect new jobs)
-  int remaining_ = 0;    ///< participating workers that have not finished
+  int open_seats_ = 0;  ///< workers that may still join; 0 once closed
+  int active_ = 0;      ///< joined workers that have not finished
   int64_t publish_ns_ = 0;  ///< when the current job was posted (metrics only)
   bool shutdown_ = false;
+  /// The next unclaimed chunk of the current job.
+  std::atomic<int64_t> next_chunk_{0};
 };
 
 }  // namespace missl::runtime

@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/runtime.h"
-#include "runtime/thread_pool.h"
 #include "tensor/alloc.h"
 #include "utils/check.h"
 
@@ -212,25 +211,22 @@ std::unique_ptr<RecoService> RecoService::Load(
   std::unique_ptr<RecoService> svc(new RecoService(
       std::move(model), num_items, num_behaviors, config));
   // Weights are frozen from here on, so the compiled plan stays valid for
-  // the service lifetime. The catalog dies with this block, before the Trim
-  // below, unless an fp32 plan shares it.
-  {
-    const Tensor catalog = svc->model_->PrecomputeCatalog();
-    if (catalog.size(1) != num_items) {
-      *status = Status::InvalidArgument("num_items differs from the model's " +
-                                        std::to_string(catalog.size(1)));
-      return nullptr;
-    }
-    infer::InferConfig icfg;
-    icfg.quantize_catalog = config.precision == Precision::kInt8;
-    svc->plan_ = infer::PlannedExecutor::Compile(
-        *svc->model_, catalog, config.max_batch, icfg, status);
-    if (svc->plan_ == nullptr) return nullptr;
+  // the service lifetime.
+  infer::InferConfig icfg;
+  icfg.quantize_catalog = config.precision == Precision::kInt8;
+  svc->plan_ = infer::PlannedExecutor::Compile(*svc->model_, config.max_batch,
+                                               icfg, status);
+  if (svc->plan_ == nullptr) return nullptr;
+  if (svc->plan_->num_items() != num_items) {
+    *status = Status::InvalidArgument("num_items differs from the model's " +
+                                      std::to_string(svc->plan_->num_items()));
+    return nullptr;
   }
-  int threads = config.num_threads > 0 ? config.num_threads
-                                       : runtime::NumThreads();
-  runtime::ThreadPool::Global().Prewarm(threads);
-  // Load-time work (parameter deserialization, catalog precompute) churns
+  svc->num_threads_ =
+      config.num_threads > 0
+          ? config.num_threads
+          : runtime::DefaultNumThreads(runtime::AvailableCpus());
+  // Load-time work (parameter deserialization, plan compile) churns
   // through large one-off buffers; return them to the system so the
   // steady-state footprint reflects only what serving re-uses.
   alloc::Trim();
@@ -340,8 +336,7 @@ void RecoService::ProcessBatch(std::vector<Pending>* work) {
   static constexpr obs::SpanSite kBatchSpan{"serve.batch", "serve", "size"};
   obs::TraceSpan span(kBatchSpan, static_cast<int64_t>(work->size()));
 
-  runtime::ScopedNumThreads threads_override(
-      config_.num_threads > 0 ? config_.num_threads : runtime::NumThreads());
+  runtime::ScopedNumThreads threads(num_threads_);
   std::vector<const Query*> queries;
   queries.reserve(work->size());
   for (size_t row = 0; row < work->size(); ++row) {

@@ -84,7 +84,8 @@ struct ServeConfig {
   int64_t max_len = 50;     ///< history window (== model max_len)
   int32_t max_batch = 32;   ///< coalesce at most this many queries per forward
   int64_t max_wait_us = 2000;  ///< how long the batcher waits to fill a batch
-  int num_threads = 0;      ///< forward-pass threads; 0 = runtime default
+  int num_threads = 0;      ///< forward-pass threads; 0 = MISSL_NUM_THREADS
+                            ///< if set, else the CPUs this process may use
   Precision precision = Precision::kFp32;  ///< see Precision
 };
 
@@ -93,10 +94,10 @@ struct ServeConfig {
 class RecoService {
  public:
   /// Loads `checkpoint_path` into `model` (nn::LoadParametersForInference:
-  /// eval mode, requires_grad off), compiles the serving forward against
-  /// the model's catalog matrix (infer::PlannedExecutor::Compile), prewarms
-  /// the runtime pool, and starts the dispatcher. Returns nullptr with
-  /// `*status` set on load failure; `*status` is OK on success.
+  /// eval mode, requires_grad off), compiles the serving forward
+  /// (infer::PlannedExecutor::Compile), resolves the thread count, and
+  /// starts the dispatcher. Returns nullptr with `*status` set on load
+  /// failure; `*status` is OK on success.
   static std::unique_ptr<RecoService> Load(
       std::unique_ptr<core::MisslModel> model, int32_t num_items,
       int32_t num_behaviors, const std::string& checkpoint_path,
@@ -126,6 +127,10 @@ class RecoService {
   int32_t num_items() const { return num_items_; }
   int32_t num_behaviors() const { return num_behaviors_; }
   const ServeConfig& config() const { return config_; }
+  /// Threads each batch's forward may use: config().num_threads, or the
+  /// default it resolved to at Load. Batches below the plan's serial floor
+  /// run on the dispatcher alone.
+  int num_threads() const { return num_threads_; }
   /// The compiled op plan that scores every batch. Exposed for tests and
   /// introspection.
   const infer::PlannedExecutor& plan() const { return *plan_; }
@@ -150,6 +155,7 @@ class RecoService {
   int32_t num_items_;
   int32_t num_behaviors_;
   ServeConfig config_;
+  int num_threads_ = 1;  ///< resolved at Load
   std::unique_ptr<infer::PlannedExecutor> plan_;  ///< compiled at Load
   std::vector<infer::RankSpec> specs_;  ///< dispatcher-only, max_batch rows
 

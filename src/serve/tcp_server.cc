@@ -712,6 +712,7 @@ std::string TcpServer::StatuszJson() const {
      << ",\"max_batch\":" << sc.max_batch
      << ",\"max_wait_us\":" << sc.max_wait_us
      << ",\"num_threads\":" << sc.num_threads
+     << ",\"resolved_num_threads\":" << service_->num_threads()
      << ",\"precision\":\"" << PrecisionName(sc.precision) << "\"}"
      << ",\"tcp_config\":{\"max_connections\":" << config_.max_connections
      << ",\"max_line_bytes\":" << config_.max_line_bytes

@@ -34,19 +34,6 @@ int64_t GemmGrain(int64_t rows, int64_t cost_per_row) {
 // block; the pad columns never touch a real cell's chain.
 int64_t PaddedWidth(int64_t k) { return k <= 8 ? 8 : k < 32 ? 32 : k; }
 
-// dst[c * ldd + r] = src[r * lds + c] for r in [0, rows), c in [0, cols).
-// Walks 16-row blocks so the strided side of the copy stays in L1.
-void TransposeInto(const float* src, int64_t lds, float* dst, int64_t ldd,
-                   int64_t rows, int64_t cols) {
-  constexpr int64_t kBlock = 16;
-  for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
-    const int64_t r1 = std::min(r0 + kBlock, rows);
-    for (int64_t c = 0; c < cols; ++c) {
-      for (int64_t r = r0; r < r1; ++r) dst[c * ldd + r] = src[r * lds + c];
-    }
-  }
-}
-
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
@@ -124,7 +111,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
               const int64_t s = t0 / rows;
               const int64_t t1 = std::min({t0 + tile, r1, (s + 1) * rows});
               if (s != packed) {
-                TransposeInto(pb + s * k * n, n, bt.data(), kp, k, n);
+                simd::TransposeTile(pb + s * k * n, n, bt.data(), kp, k, n);
                 packed = s;
               }
               std::fill(c, c + (t1 - t0) * kp, 0.0f);
@@ -164,8 +151,8 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
               for (int64_t i0 = 0; i0 < rows; i0 += kSpan) {
                 const int64_t span = std::min(kSpan, rows - i0);
                 const int64_t i = s * rows + i0;  // first A/g row of the tile
-                TransposeInto(pa + i * k + (r - s * k), k, at.data(), span,
-                              span, end - r);
+                simd::TransposeTile(pa + i * k + (r - s * k), k, at.data(),
+                                    span, span, end - r);
                 simd::GemmRows(at.data(), g + i * n, gb + r * n, span, n, n,
                                n, 0, end - r);
               }
@@ -189,7 +176,7 @@ Tensor Transpose(const Tensor& a) {
   const float* pa = a.data();
   float* po = out.data();
   for (int64_t s = 0; s < batch; ++s) {
-    TransposeInto(pa + s * m * n, n, po + s * m * n, m, m, n);
+    simd::TransposeTile(pa + s * m * n, n, po + s * m * n, m, m, n);
   }
   AttachGrad(&out, {a}, [a, out = TensorRef(out), batch, m, n]() {
     const float* g = out.impl()->grad.data();

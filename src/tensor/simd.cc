@@ -22,6 +22,8 @@ namespace missl::simd {
 namespace avx2 {
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
               int64_t ldb, int64_t ldc, int64_t r0, int64_t r1);
+void TransposeTile(const float* src, int64_t lds, float* dst, int64_t ldd,
+                   int64_t rows, int64_t cols);
 void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n);
 int64_t FindFirstGreater(const float* x, int64_t n, float thr);
 void AxpyRow(float s, const float* x, float* y, int64_t n);
@@ -222,6 +224,18 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
       if (av == 0.0f) continue;
       const float* brow = b + kk * ldb;
       for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// Walks 16-row blocks so the strided side of the copy stays in L1.
+void TransposeTile(const float* src, int64_t lds, float* dst, int64_t ldd,
+                   int64_t rows, int64_t cols) {
+  constexpr int64_t kBlock = 16;
+  for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const int64_t r1 = std::min(r0 + kBlock, rows);
+    for (int64_t c = 0; c < cols; ++c) {
+      for (int64_t r = r0; r < r1; ++r) dst[c * ldd + r] = src[r * lds + c];
     }
   }
 }
@@ -435,6 +449,11 @@ void Int8DotDequantTile(const int8_t* a, const float* act_scales, int64_t na,
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
               int64_t ldb, int64_t ldc, int64_t r0, int64_t r1) {
   MISSL_SIMD_DISPATCH(GemmRows, a, b, c, k, n, ldb, ldc, r0, r1);
+}
+
+void TransposeTile(const float* src, int64_t lds, float* dst, int64_t ldd,
+                   int64_t rows, int64_t cols) {
+  MISSL_SIMD_DISPATCH(TransposeTile, src, lds, dst, ldd, rows, cols);
 }
 
 void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n) {

@@ -125,6 +125,12 @@ class ScopedTier {
 void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
               int64_t ldb, int64_t ldc, int64_t r0, int64_t r1);
 
+/// dst[c * ldd + r] = src[r * lds + c] for r in [0, rows), c in [0, cols):
+/// the transpose of a rows x cols block. A pure copy, so every tier writes
+/// the same bits; the AVX2 tier moves 8 x 8 blocks with lane shuffles.
+void TransposeTile(const float* src, int64_t lds, float* dst, int64_t ldd,
+                   int64_t rows, int64_t cols);
+
 /// o[j] = the strict-> ascending-r max of a[r*lda + j] over r in [0, rows),
 /// starting from -inf (Max in ops_reduce.cc): a NaN never wins, so an
 /// all-NaN column yields -inf, and of equal values (+0/-0) the first stays.

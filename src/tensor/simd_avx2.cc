@@ -283,6 +283,55 @@ void GemmRows(const float* a, const float* b, float* c, int64_t k, int64_t n,
   }
 }
 
+// 8 x 8 blocks: each register is loaded as two 128-bit halves (four
+// columns of row i below the same four of row i + 4), so the loads do the
+// lane crossing; unpacks interleave row pairs, and one shuffle plus two
+// blends (which, unlike the shuffles, need not share one port) finish each
+// pair of output rows. Lane moves only, so every bit (NaN payloads
+// included) is copied as is. The ragged row and column edges are copied
+// one float at a time.
+void TransposeTile(const float* src, int64_t lds, float* dst, int64_t ldd,
+                   int64_t rows, int64_t cols) {
+  auto halves = [lds](const float* s, int64_t i) {
+    const __m256 lo = _mm256_castps128_ps256(_mm_loadu_ps(s + i * lds));
+    return _mm256_insertf128_ps(lo, _mm_loadu_ps(s + (i + 4) * lds), 1);
+  };
+  // Per 128-bit lane: out0 = [x0 x1 y0 y1], out1 = [x2 x3 y2 y3].
+  auto pair = [](__m256 x, __m256 y, __m256* out0, __m256* out1) {
+    const __m256 v = _mm256_shuffle_ps(x, y, _MM_SHUFFLE(1, 0, 3, 2));
+    *out0 = _mm256_blend_ps(x, v, 0xCC);
+    *out1 = _mm256_blend_ps(y, v, 0x33);
+  };
+  int64_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    int64_t c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      const float* s = src + r * lds + c;
+      const __m256 r0 = halves(s, 0), r1 = halves(s, 1);
+      const __m256 r2 = halves(s, 2), r3 = halves(s, 3);
+      const __m256 r4 = halves(s + 4, 0), r5 = halves(s + 4, 1);
+      const __m256 r6 = halves(s + 4, 2), r7 = halves(s + 4, 3);
+      __m256 o[8];
+      pair(_mm256_unpacklo_ps(r0, r1), _mm256_unpacklo_ps(r2, r3), &o[0],
+           &o[1]);
+      pair(_mm256_unpackhi_ps(r0, r1), _mm256_unpackhi_ps(r2, r3), &o[2],
+           &o[3]);
+      pair(_mm256_unpacklo_ps(r4, r5), _mm256_unpacklo_ps(r6, r7), &o[4],
+           &o[5]);
+      pair(_mm256_unpackhi_ps(r4, r5), _mm256_unpackhi_ps(r6, r7), &o[6],
+           &o[7]);
+      float* d = dst + c * ldd + r;
+      for (int i = 0; i < 8; ++i) _mm256_storeu_ps(d + i * ldd, o[i]);
+    }
+    for (; c < cols; ++c) {
+      for (int64_t i = r; i < r + 8; ++i) dst[c * ldd + i] = src[i * lds + c];
+    }
+  }
+  for (; r < rows; ++r) {
+    for (int64_t c = 0; c < cols; ++c) dst[c * ldd + r] = src[r * lds + c];
+  }
+}
+
 // Lane-wise strict-> max: _mm256_max_ps(x, best) returns x only when
 // x > best (NaN or equal values keep best), the scalar `if (x > best)`.
 void MaxRows(const float* a, int64_t rows, int64_t lda, float* o, int64_t n) {

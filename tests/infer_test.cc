@@ -37,8 +37,9 @@ constexpr int32_t kItems = 57;
 constexpr int32_t kBehaviors = 3;
 constexpr int64_t kMaxLen = 14;
 
-std::unique_ptr<core::MisslModel> MakeModel(const core::MisslConfig& cfg) {
-  return std::make_unique<core::MisslModel>(kItems, kBehaviors, kMaxLen, cfg);
+std::unique_ptr<core::MisslModel> MakeModel(const core::MisslConfig& cfg,
+                                            int32_t items = kItems) {
+  return std::make_unique<core::MisslModel>(items, kBehaviors, kMaxLen, cfg);
 }
 
 core::MisslConfig BaseConfig() {
@@ -53,29 +54,32 @@ core::MisslConfig BaseConfig() {
 /// A deterministic inference batch with padding rows, single-behavior rows
 /// and repeated items (exercising every hyperedge family and the
 /// empty-channel indicator path).
-data::Batch MakeBatch(int64_t batch_size, uint64_t seed) {
+data::Batch MakeBatch(int64_t batch_size, uint64_t seed,
+                      int64_t max_len = kMaxLen,
+                      int32_t num_behaviors = kBehaviors) {
   Rng rng(seed);
   data::Batch b;
   b.batch_size = batch_size;
-  b.max_len = kMaxLen;
-  b.num_behaviors = kBehaviors;
-  int64_t bt = batch_size * kMaxLen;
+  b.max_len = max_len;
+  b.num_behaviors = num_behaviors;
+  int64_t bt = batch_size * max_len;
   b.merged_items.assign(static_cast<size_t>(bt), -1);
   b.merged_behaviors.assign(static_cast<size_t>(bt), -1);
   b.merged_recency.assign(static_cast<size_t>(bt), -1);
   b.targets.assign(static_cast<size_t>(batch_size), -1);
-  b.target_behavior.assign(static_cast<size_t>(batch_size), kBehaviors - 1);
+  b.target_behavior.assign(static_cast<size_t>(batch_size),
+                           num_behaviors - 1);
   b.users.resize(static_cast<size_t>(batch_size));
   for (int64_t row = 0; row < batch_size; ++row) {
     b.users[static_cast<size_t>(row)] = static_cast<int32_t>(row);
     // Row 0 stays fully padded-short (one event); later rows fill more.
-    int64_t n = 1 + (row * 5) % kMaxLen;
+    int64_t n = 1 + (row * 5) % max_len;
     for (int64_t i = 0; i < n; ++i) {
-      size_t pos = static_cast<size_t>(row * kMaxLen + (kMaxLen - n + i));
+      size_t pos = static_cast<size_t>(row * max_len + (max_len - n + i));
       // Bias toward repeats so repeat hyperedges materialize.
       int32_t item = static_cast<int32_t>(rng.UniformInt(kItems / 3));
-      int32_t beh = static_cast<int32_t>(rng.UniformInt(kBehaviors));
-      if (row % 3 == 1) beh = kBehaviors - 1;  // target-channel-only row
+      int32_t beh = static_cast<int32_t>(rng.UniformInt(num_behaviors));
+      if (row % 3 == 1) beh = num_behaviors - 1;  // target-channel-only row
       if (row % 3 == 2) beh = 0;  // aux-only row (empty target channel)
       b.merged_items[pos] = item;
       b.merged_behaviors[pos] = beh;
@@ -85,11 +89,14 @@ data::Batch MakeBatch(int64_t batch_size, uint64_t seed) {
   return b;
 }
 
-/// Compiles a plan for `cfg` and asserts Run == ScoreAllItems bitwise on
-/// every tier x thread-count combination.
+/// Compiles a plan for `cfg` over `items` items and asserts Run ==
+/// ScoreAllItems bitwise on every tier x thread-count combination. The
+/// multi-thread legs must open pool jobs exactly when `pooled` says the
+/// batch clears the plan's serial floor.
 void ExpectBitwiseParity(const core::MisslConfig& cfg, int64_t batch_size,
-                         int64_t max_batch) {
-  auto model = MakeModel(cfg);
+                         int64_t max_batch, int32_t items = kItems,
+                         bool pooled = false) {
+  auto model = MakeModel(cfg, items);
   model->SetTraining(false);
   data::Batch batch = MakeBatch(batch_size, /*seed=*/cfg.seed + 7);
   Tensor catalog;
@@ -98,8 +105,7 @@ void ExpectBitwiseParity(const core::MisslConfig& cfg, int64_t batch_size,
     catalog = model->PrecomputeCatalog();
   }
   Status status;
-  auto plan =
-      infer::PlannedExecutor::Compile(*model, catalog, max_batch, &status);
+  auto plan = infer::PlannedExecutor::Compile(*model, max_batch, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_NE(plan, nullptr);
 
@@ -115,10 +121,13 @@ void ExpectBitwiseParity(const core::MisslConfig& cfg, int64_t batch_size,
       Tensor oracle;
       {
         NoGradGuard ng;
-        oracle = model->ScoreAllItems(batch, kItems, catalog);
+        oracle = model->ScoreAllItems(batch, items, catalog);
       }
+      testing::PoolJobCount jobs;
       const float* got = plan->Run(batch);
-      ASSERT_EQ(oracle.numel(), batch_size * kItems);
+      EXPECT_EQ(jobs.opened() > 0, threads > 1 && pooled)
+          << jobs.opened() << " pool jobs at threads=" << threads;
+      ASSERT_EQ(oracle.numel(), batch_size * items);
       size_t mismatch = 0;
       for (int64_t i = 0; i < oracle.numel(); ++i) {
         if (got[i] != oracle.data()[i]) ++mismatch;
@@ -141,6 +150,9 @@ void ExpectBitwiseParity(const core::MisslConfig& cfg, int64_t batch_size,
 
 TEST(PlannedExecutorTest, BitwiseParityDefaultConfig) {
   ExpectBitwiseParity(BaseConfig(), /*batch_size=*/6, /*max_batch=*/6);
+  // Above kSerialFloorMacs, so the 2- and 4-thread legs run on the pool.
+  ExpectBitwiseParity(BaseConfig(), /*batch_size=*/16, /*max_batch=*/16,
+                      /*items=*/6000, /*pooled=*/true);
 }
 
 TEST(PlannedExecutorTest, BitwiseParitySmallerBatchThanCapacity) {
@@ -155,7 +167,7 @@ TEST(PlannedExecutorTest, BitwiseParitySmallerBatchThanCapacity) {
   model->SetTraining(false);
   Tensor catalog = model->PrecomputeCatalog();
   Status status;
-  auto plan = infer::PlannedExecutor::Compile(*model, catalog, 4, &status);
+  auto plan = infer::PlannedExecutor::Compile(*model, 4, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   const std::pair<int64_t, uint64_t> runs[] = {{4, 101}, {1, 102}, {4, 103}};
   for (const auto& [size, seed] : runs) {
@@ -201,6 +213,11 @@ TEST(PlannedExecutorTest, BitwiseParityMeanRouting) {
   core::MisslConfig cfg = BaseConfig();
   cfg.routing = core::InterestRouting::kMean;
   ExpectBitwiseParity(cfg, 5, 5);
+  // Mean routing scores b rows, not b·K: 1.5 M catalog multiply-adds here
+  // (b·K·V·d would be 4.6 M), so this batch stays under the serial floor,
+  // and 5.1 M at V = 20,000 clears it.
+  ExpectBitwiseParity(cfg, 16, 16, /*items=*/6000);
+  ExpectBitwiseParity(cfg, 16, 16, /*items=*/20000, /*pooled=*/true);
 }
 
 TEST(PlannedExecutorTest, BitwiseParitySingleHeadSingleInterest) {
@@ -220,13 +237,8 @@ TEST(PlannedExecutorTest, BitwiseParityDeepStack) {
 TEST(PlannedExecutorTest, SteadyStateRunsAllocateNothing) {
   auto model = MakeModel(BaseConfig());
   model->SetTraining(false);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
   Status status;
-  auto plan = infer::PlannedExecutor::Compile(*model, catalog, 8, &status);
+  auto plan = infer::PlannedExecutor::Compile(*model, 8, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch big = MakeBatch(8, 11);
   data::Batch small = MakeBatch(3, 12);
@@ -253,37 +265,17 @@ TEST(PlannedExecutorTest, SteadyStateRunsAllocateNothing) {
 TEST(PlannedExecutorTest, CompileValidatesInputs) {
   auto model = MakeModel(BaseConfig());
   model->SetTraining(false);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
   Status status;
   // Bad max_batch.
-  EXPECT_EQ(infer::PlannedExecutor::Compile(*model, catalog, 0, &status),
-            nullptr);
-  EXPECT_FALSE(status.ok());
-  // Catalog in the untransposed [V, d] orientation.
-  EXPECT_EQ(infer::PlannedExecutor::Compile(*model, Transpose(catalog), 4,
-                                            &status),
-            nullptr);
-  EXPECT_FALSE(status.ok());
-  // Undefined catalog.
-  EXPECT_EQ(infer::PlannedExecutor::Compile(*model, Tensor(), 4, &status),
-            nullptr);
+  EXPECT_EQ(infer::PlannedExecutor::Compile(*model, 0, &status), nullptr);
   EXPECT_FALSE(status.ok());
 }
 
 TEST(PlannedExecutorTest, PlanIntrospection) {
   auto model = MakeModel(BaseConfig());
   model->SetTraining(false);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
   Status status;
-  auto plan = infer::PlannedExecutor::Compile(*model, catalog, 4, &status);
+  auto plan = infer::PlannedExecutor::Compile(*model, 4, &status);
   ASSERT_TRUE(status.ok());
   EXPECT_GT(plan->num_ops(), 10);
   EXPECT_GT(plan->scratch_bytes(), 0);
@@ -297,44 +289,53 @@ TEST(PlannedExecutorTest, PlanIntrospection) {
 }
 
 TEST(PlannedExecutorTest, FusedTopKMatchesTopKRowOnEveryTierAndThreadCount) {
-  // V smaller than one tile, a ragged last tile, and whole tiles (which
-  // split into up to four stripes at four threads).
-  for (int32_t items : {57, 150, 256}) {
+  // V smaller than one tile, a ragged last tile, whole tiles (four stripes),
+  // and a batch above the serial floor on both routings, whose multi-thread
+  // legs run on the pool.
+  struct Shape {
+    int32_t items;
+    int64_t b;
+    bool pooled;
+  };
+  for (const auto [items, b, pooled] :
+       {Shape{57, 5, false}, Shape{150, 5, false}, Shape{256, 5, false},
+        Shape{20000, 16, true}}) {
     for (core::InterestRouting routing :
          {core::InterestRouting::kMax, core::InterestRouting::kMean}) {
       core::MisslConfig cfg = BaseConfig();
       cfg.routing = routing;
       core::MisslModel model(items, kBehaviors, kMaxLen, cfg);
       model.SetTraining(false);
-      Tensor catalog = model.PrecomputeCatalog();
-      // Exact ties (item 3's column copied across a tile boundary and to
-      // the last item) and a NaN column: max routing turns it into -inf,
-      // mean routing keeps the NaN.
+      // Exact ties (item 3's row copied across a tile boundary and to the
+      // last item) and a NaN item, outside the histories' [0, kItems / 3)
+      // so the encoder never gathers it: max routing turns its score into
+      // -inf, mean routing keeps the NaN.
       const int64_t d = cfg.dim;
-      float* cat = catalog.data();
-      for (int64_t j = 0; j < d; ++j) {
-        for (int64_t c : {int64_t{63}, int64_t{items - 1}}) {
-          cat[j * items + std::min<int64_t>(c, items - 1)] = cat[j * items + 3];
-        }
+      Tensor table = model.item_embedding();  // [V, d], shared storage
+      float* w = table.data();
+      for (int64_t c : {int64_t{63}, int64_t{items - 1}}) {
+        std::copy(w + 3 * d, w + 4 * d, w + std::min<int64_t>(c, items - 1) * d);
       }
-      cat[5] = std::nanf("");
+      w[(items - 2) * d] = std::nanf("");
       Status status;
-      auto plan = infer::PlannedExecutor::Compile(model, catalog, 6, &status);
+      auto plan = infer::PlannedExecutor::Compile(model, b, &status);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      data::Batch batch = MakeBatch(5, 31 + static_cast<uint64_t>(items));
+      data::Batch batch = MakeBatch(b, 31 + static_cast<uint64_t>(items));
       std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
       if (simd::Avx2Available()) tiers.push_back(simd::Tier::kAvx2);
       for (simd::Tier tier : tiers) {
         simd::ScopedTier tier_guard(tier);
         for (int threads : {1, 2, 4}) {
           runtime::ScopedNumThreads thread_guard(threads);
-          testing::ExpectRunTopKMatchesTopKRow(
-              plan.get(), batch,
+          const std::string where =
               "V=" + std::to_string(items) +
-                  (routing == core::InterestRouting::kMean ? " mean"
-                                                           : " max") +
-                  " tier=" + simd::TierName(tier) +
-                  " threads=" + std::to_string(threads));
+              (routing == core::InterestRouting::kMean ? " mean" : " max") +
+              " tier=" + simd::TierName(tier) +
+              " threads=" + std::to_string(threads);
+          testing::PoolJobCount jobs;
+          testing::ExpectRunTopKMatchesTopKRow(plan.get(), batch, where);
+          EXPECT_EQ(jobs.opened() > 0, threads > 1 && pooled)
+              << jobs.opened() << " pool jobs at " << where;
         }
       }
     }
@@ -354,11 +355,41 @@ TEST(PlannedExecutorTest, ArenaPacksBuffersByLiveRange) {
   core::MisslModel model(20000, 4, 50, cfg);
   model.SetTraining(false);
   Status status;
-  auto plan = infer::PlannedExecutor::Compile(model, model.PrecomputeCatalog(),
-                                              16, &status);
+  auto plan = infer::PlannedExecutor::Compile(model, 16, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_LE(plan->scratch_bytes(), int64_t{3} * 1024 * 1024 / 2)
       << plan->ToString();
+}
+
+TEST(PlannedExecutorTest, SmallBatchesOpenNoPoolJob) {
+  // At 4 threads, the serving shapes on either side of kSerialFloorMacs:
+  // one open-loop query (b = 1, V = 2,000, T = 20: 0.2 M catalog
+  // multiply-adds) and even a full batch there (3.1 M) run on the calling
+  // thread alone, a full closed-loop batch (b = 16, V = 20,000, T = 50:
+  // 31 M) fans out to the pool.
+  runtime::ScopedNumThreads threads(4);
+  struct Case {
+    int32_t items;
+    int64_t t, b;
+    bool pooled;
+  };
+  for (const Case& c : {Case{2000, 20, 1, false}, Case{2000, 20, 16, false},
+                        Case{20000, 50, 16, true}}) {
+    core::MisslConfig cfg;
+    cfg.dim = 32;
+    cfg.num_interests = 3;
+    core::MisslModel model(c.items, 4, c.t, cfg);
+    model.SetTraining(false);
+    Status status;
+    auto plan = infer::PlannedExecutor::Compile(model, 16, &status);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    const data::Batch batch = MakeBatch(c.b, 5, c.t, 4);
+    std::vector<infer::RankSpec> specs(static_cast<size_t>(c.b));
+    testing::PoolJobCount jobs;
+    plan->RunTopK(batch, specs.data());
+    EXPECT_EQ(jobs.opened() > 0, c.pooled)
+        << jobs.opened() << " pool jobs at V=" << c.items << " b=" << c.b;
+  }
 }
 
 TEST(PlannedExecutorTest, UnwrittenArenaBytesAreNeverRead) {
@@ -372,14 +403,13 @@ TEST(PlannedExecutorTest, UnwrittenArenaBytesAreNeverRead) {
   Tensor catalog = model->PrecomputeCatalog();
   Status status;
   const int64_t arena_floats =
-      infer::PlannedExecutor::Compile(*model, catalog, 8, &status)
-          ->scratch_bytes() /
+      infer::PlannedExecutor::Compile(*model, 8, &status)->scratch_bytes() /
       static_cast<int64_t>(sizeof(float));
   {
     std::vector<Storage> poison(8);
     for (Storage& s : poison) s.assign(arena_floats, std::nanf(""));
   }
-  auto plan = infer::PlannedExecutor::Compile(*model, catalog, 8, &status);
+  auto plan = infer::PlannedExecutor::Compile(*model, 8, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch batch = MakeBatch(3, 104);
   Tensor oracle;

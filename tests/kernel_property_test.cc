@@ -584,6 +584,46 @@ TEST(KernelPropertyTest, CatalogTopKKernelsMatchScalarOnEveryTier) {
   }
 }
 
+// TransposeTile is a pure copy on every tier: each destination word is the
+// source word bit for bit (NaN payloads and -0 included), across whole
+// 8 x 8 blocks, ragged row/column edges and strided source/destination
+// rows; words outside the block stay untouched.
+TEST(KernelPropertyTest, TransposeTileCopiesEveryBitOnEveryTier) {
+  Rng rng(23);
+  for (Tier tier : TiersToTest()) {
+    simd::ScopedTier st(tier);
+    for (auto [rows, cols] : {std::pair<int64_t, int64_t>{1, 1}, {7, 5},
+                              {8, 8}, {64, 32}, {19, 17}, {3, 40}}) {
+      const int64_t lds = cols + 3, ldd = rows + 5;
+      auto bits_to_float = [](uint32_t w) {
+        float f;
+        std::memcpy(&f, &w, sizeof(f));
+        return f;
+      };
+      std::vector<float> src(static_cast<size_t>(rows * lds));
+      for (float& x : src) {
+        x = bits_to_float(static_cast<uint32_t>(rng.Next64()));
+      }
+      src[0] = bits_to_float(0x7fc01234u);  // quiet NaN with a payload
+      src[static_cast<size_t>((rows - 1) * lds + cols - 1)] = -0.0f;
+      const float fill = bits_to_float(0xdeadbeefu);
+      std::vector<float> dst(static_cast<size_t>(cols * ldd), fill);
+      simd::TransposeTile(src.data(), lds, dst.data(), ldd, rows, cols);
+      for (int64_t c = 0; c < cols; ++c) {
+        for (int64_t r = 0; r < ldd; ++r) {
+          const float want =
+              r < rows ? src[static_cast<size_t>(r * lds + c)] : fill;
+          ASSERT_EQ(std::memcmp(&dst[static_cast<size_t>(c * ldd + r)], &want,
+                                sizeof(float)),
+                    0)
+              << simd::TierName(tier) << " " << rows << "x" << cols
+              << " r=" << r << " c=" << c;
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelPropertyTest, SoftmaxFamilySweep) {
   Rng rng;
   rng.Seed(505);

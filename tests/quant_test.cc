@@ -12,7 +12,7 @@
 //   3. Plan-level: a quantize_catalog plan is bitwise deterministic across
 //      SIMD tiers x thread counts, allocates nothing in steady state, and
 //      ranks close enough to fp32 (NDCG@10 / top-10 overlap bounds below).
-//      An int8 RecoService serves it without keeping the fp32 catalog.
+//      Neither an int8 nor an fp32 RecoService keeps a second fp32 catalog.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -343,8 +343,9 @@ constexpr int32_t kItems = 57;
 constexpr int32_t kBehaviors = 3;
 constexpr int64_t kMaxLen = 14;
 
-std::unique_ptr<core::MisslModel> MakeModel(const core::MisslConfig& cfg) {
-  return std::make_unique<core::MisslModel>(kItems, kBehaviors, kMaxLen, cfg);
+std::unique_ptr<core::MisslModel> MakeModel(const core::MisslConfig& cfg,
+                                            int32_t items = kItems) {
+  return std::make_unique<core::MisslModel>(items, kBehaviors, kMaxLen, cfg);
 }
 
 core::MisslConfig BaseConfig() {
@@ -393,16 +394,14 @@ struct PlanPair {
   std::unique_ptr<infer::PlannedExecutor> int8;
 };
 
-PlanPair CompileBoth(const core::MisslModel& model, const Tensor& catalog,
-                     int64_t max_batch) {
+PlanPair CompileBoth(const core::MisslModel& model, int64_t max_batch) {
   Status status;
   PlanPair p;
-  p.fp32 = infer::PlannedExecutor::Compile(model, catalog, max_batch, &status);
+  p.fp32 = infer::PlannedExecutor::Compile(model, max_batch, &status);
   EXPECT_TRUE(status.ok()) << status.ToString();
   infer::InferConfig icfg;
   icfg.quantize_catalog = true;
-  p.int8 = infer::PlannedExecutor::Compile(model, catalog, max_batch, icfg,
-                                           &status);
+  p.int8 = infer::PlannedExecutor::Compile(model, max_batch, icfg, &status);
   EXPECT_TRUE(status.ok()) << status.ToString();
   return p;
 }
@@ -411,20 +410,18 @@ PlanPair CompileBoth(const core::MisslModel& model, const Tensor& catalog,
 /// and every tier x thread-count combination must reproduce it bitwise.
 /// (Stronger than fp32's rule: integer accumulation makes this automatic,
 /// but the quantize + dequant stages are fp32 and must stay order-fixed.)
+/// The multi-thread legs must open pool jobs exactly when `pooled` says the
+/// batch clears the plan's serial floor.
 void ExpectInt8Deterministic(const core::MisslConfig& cfg, int64_t batch_size,
-                             int64_t max_batch) {
-  auto model = MakeModel(cfg);
+                             int64_t max_batch, int32_t items = kItems,
+                             bool pooled = false) {
+  auto model = MakeModel(cfg, items);
   model->SetTraining(false);
   data::Batch batch = MakeBatch(batch_size, cfg.seed + 7);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
   Status status;
   infer::InferConfig icfg;
   icfg.quantize_catalog = true;
-  auto plan = infer::PlannedExecutor::Compile(*model, catalog, max_batch, icfg,
+  auto plan = infer::PlannedExecutor::Compile(*model, max_batch, icfg,
                                               &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   ASSERT_TRUE(plan->quantized());
@@ -435,17 +432,20 @@ void ExpectInt8Deterministic(const core::MisslConfig& cfg, int64_t batch_size,
     simd::ScopedAvxVnni vnni_guard(kcfg.vnni);
     for (int threads : {1, 2, 4}) {
       runtime::ScopedNumThreads thread_guard(threads);
+      testing::PoolJobCount jobs;
       const float* got = plan->Run(batch);
+      EXPECT_EQ(jobs.opened() > 0, threads > 1 && pooled)
+          << jobs.opened() << " pool jobs at threads=" << threads;
       if (reference.empty()) {
-        reference.assign(got, got + batch_size * kItems);
+        reference.assign(got, got + batch_size * items);
         continue;
       }
       size_t mismatch = 0;
-      for (int64_t i = 0; i < batch_size * kItems; ++i) {
+      for (int64_t i = 0; i < batch_size * items; ++i) {
         if (got[i] != reference[static_cast<size_t>(i)]) ++mismatch;
       }
       EXPECT_EQ(mismatch, 0u)
-          << mismatch << " of " << batch_size * kItems
+          << mismatch << " of " << batch_size * items
           << " int8 scores differ from the scalar/1-thread reference at tier="
           << simd::TierName(kcfg.tier) << " vnni=" << kcfg.vnni
           << " threads=" << threads;
@@ -453,14 +453,19 @@ void ExpectInt8Deterministic(const core::MisslConfig& cfg, int64_t batch_size,
   }
 }
 
+// The second shape of each routing clears kSerialFloorMacs, so its 2- and
+// 4-thread legs run on the pool.
 TEST(QuantPlanTest, Int8DeterministicAcrossTiersAndThreadsMaxRouting) {
   ExpectInt8Deterministic(BaseConfig(), /*batch_size=*/6, /*max_batch=*/6);
+  ExpectInt8Deterministic(BaseConfig(), /*batch_size=*/16, /*max_batch=*/16,
+                          /*items=*/6000, /*pooled=*/true);
 }
 
 TEST(QuantPlanTest, Int8DeterministicAcrossTiersAndThreadsMeanRouting) {
   core::MisslConfig cfg = BaseConfig();
   cfg.routing = core::InterestRouting::kMean;
   ExpectInt8Deterministic(cfg, 5, 5);
+  ExpectInt8Deterministic(cfg, 16, 16, /*items=*/20000, /*pooled=*/true);
 }
 
 TEST(QuantPlanTest, Int8DeterministicSmallerBatchThanCapacity) {
@@ -470,16 +475,10 @@ TEST(QuantPlanTest, Int8DeterministicSmallerBatchThanCapacity) {
 TEST(QuantPlanTest, SteadyStateInt8RunsAllocateNothing) {
   auto model = MakeModel(BaseConfig());
   model->SetTraining(false);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
   Status status;
   infer::InferConfig icfg;
   icfg.quantize_catalog = true;
-  auto plan =
-      infer::PlannedExecutor::Compile(*model, catalog, 8, icfg, &status);
+  auto plan = infer::PlannedExecutor::Compile(*model, 8, icfg, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch big = MakeBatch(8, 11);
   data::Batch small = MakeBatch(3, 12);
@@ -501,43 +500,51 @@ TEST(QuantPlanTest, SteadyStateInt8RunsAllocateNothing) {
 
 // The int8 tier's fused top-k against core::TopKRow over its own Run, on
 // every kernel configuration and thread count. V covers less than one tile,
-// a ragged last tile and whole tiles; exact ties come from duplicated
-// catalog columns, which quantize to identical codes and scales.
+// a ragged last tile, whole tiles, and a batch above the serial floor on
+// both routings, whose multi-thread legs run on the pool; exact ties come
+// from duplicated item rows, which quantize to identical codes and scales.
 TEST(QuantPlanTest, Int8FusedTopKMatchesTopKRowOnEveryTierAndThreadCount) {
-  for (int32_t items : {57, 150, 256}) {
+  struct Shape {
+    int32_t items;
+    int64_t b;
+    bool pooled;
+  };
+  for (const auto [items, b, pooled] :
+       {Shape{57, 5, false}, Shape{150, 5, false}, Shape{256, 5, false},
+        Shape{20000, 16, true}}) {
     for (core::InterestRouting routing :
          {core::InterestRouting::kMax, core::InterestRouting::kMean}) {
       core::MisslConfig cfg = BaseConfig();
       cfg.routing = routing;
       core::MisslModel model(items, kBehaviors, kMaxLen, cfg);
       model.SetTraining(false);
-      Tensor catalog = model.PrecomputeCatalog();
-      float* cat = catalog.data();
-      for (int64_t j = 0; j < cfg.dim; ++j) {
-        for (int64_t c : {int64_t{63}, int64_t{items - 1}}) {
-          cat[j * items + std::min<int64_t>(c, items - 1)] = cat[j * items + 3];
-        }
+      Tensor table = model.item_embedding();  // [V, d], shared storage
+      float* w = table.data();
+      const int64_t d = cfg.dim;
+      for (int64_t c : {int64_t{63}, int64_t{items - 1}}) {
+        std::copy(w + 3 * d, w + 4 * d, w + std::min<int64_t>(c, items - 1) * d);
       }
       Status status;
       infer::InferConfig icfg;
       icfg.quantize_catalog = true;
-      auto plan =
-          infer::PlannedExecutor::Compile(model, catalog, 6, icfg, &status);
+      auto plan = infer::PlannedExecutor::Compile(model, b, icfg, &status);
       ASSERT_TRUE(status.ok()) << status.ToString();
-      data::Batch batch = MakeBatch(5, 31 + static_cast<uint64_t>(items));
+      data::Batch batch = MakeBatch(b, 31 + static_cast<uint64_t>(items));
       for (const KernelConfig& kcfg : KernelConfigs()) {
         simd::ScopedTier tier_guard(kcfg.tier);
         simd::ScopedAvxVnni vnni_guard(kcfg.vnni);
         for (int threads : {1, 2, 4}) {
           runtime::ScopedNumThreads thread_guard(threads);
-          testing::ExpectRunTopKMatchesTopKRow(
-              plan.get(), batch,
+          const std::string where =
               "V=" + std::to_string(items) +
-                  (routing == core::InterestRouting::kMean ? " mean"
-                                                           : " max") +
-                  " tier=" + simd::TierName(kcfg.tier) +
-                  " vnni=" + std::to_string(kcfg.vnni) +
-                  " threads=" + std::to_string(threads));
+              (routing == core::InterestRouting::kMean ? " mean" : " max") +
+              " tier=" + simd::TierName(kcfg.tier) +
+              " vnni=" + std::to_string(kcfg.vnni) +
+              " threads=" + std::to_string(threads);
+          testing::PoolJobCount jobs;
+          testing::ExpectRunTopKMatchesTopKRow(plan.get(), batch, where);
+          EXPECT_EQ(jobs.opened() > 0, threads > 1 && pooled)
+              << jobs.opened() << " pool jobs at " << where;
         }
       }
     }
@@ -547,12 +554,7 @@ TEST(QuantPlanTest, Int8FusedTopKMatchesTopKRowOnEveryTierAndThreadCount) {
 TEST(QuantPlanTest, IntrospectionAndMemoryFootprint) {
   auto model = MakeModel(BaseConfig());
   model->SetTraining(false);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
-  PlanPair p = CompileBoth(*model, catalog, 4);
+  PlanPair p = CompileBoth(*model, 4);
   ASSERT_NE(p.int8, nullptr);
   EXPECT_FALSE(p.fp32->quantized());
   EXPECT_TRUE(p.int8->quantized());
@@ -587,12 +589,7 @@ TEST(QuantPlanTest, Int8RankingStaysCloseToFp32) {
   model->SetTraining(false);
   constexpr int64_t kBatch = 24;
   data::Batch batch = MakeBatch(kBatch, 28);
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = model->PrecomputeCatalog();
-  }
-  PlanPair p = CompileBoth(*model, catalog, kBatch);
+  PlanPair p = CompileBoth(*model, kBatch);
   ASSERT_NE(p.fp32, nullptr);
   ASSERT_NE(p.int8, nullptr);
   std::vector<float> fp32(kBatch * kItems);
@@ -635,30 +632,41 @@ TEST(QuantPlanTest, Int8RankingStaysCloseToFp32) {
 // Serving integration.
 // ---------------------------------------------------------------------------
 
-TEST(QuantServeTest, Int8ServiceFreesFp32Catalog) {
-  // An int8 service scores from its quantized copy only, so it must hold at
-  // least the [d, V] fp32 catalog's bytes fewer live tensor bytes than an
-  // fp32 service on the same checkpoint.
+// Live tensor bytes a RecoService::Load adds on top of the model's own
+// parameters (the model is built before the reading starts).
+int64_t LoadAddedTensorBytes(serve::Precision precision) {
   core::MisslConfig cfg = BaseConfig();
   std::string path = ::testing::TempDir() + "/quant_resident_ckpt.bin";
-  ASSERT_TRUE(nn::SaveParameters(*MakeModel(cfg), path).ok());
-  auto resident_bytes = [&](serve::Precision precision) {
-    serve::ServeConfig sc;
-    sc.max_len = kMaxLen;
-    sc.max_batch = 4;
-    sc.precision = precision;
-    const int64_t before = obs::CurrentMemoryStats().live_bytes;
-    Status status;
-    auto svc = serve::RecoService::Load(MakeModel(cfg), kItems, kBehaviors,
-                                        path, sc, &status);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return obs::CurrentMemoryStats().live_bytes - before;
-  };
-  const int64_t fp32 = resident_bytes(serve::Precision::kFp32);
-  const int64_t int8 = resident_bytes(serve::Precision::kInt8);
-  EXPECT_GE(fp32 - int8, int64_t{kItems} * cfg.dim * 4)
-      << "fp32 service " << fp32 << " B, int8 service " << int8 << " B";
+  EXPECT_TRUE(nn::SaveParameters(*MakeModel(cfg), path).ok());
+  serve::ServeConfig sc;
+  sc.max_len = kMaxLen;
+  sc.max_batch = 4;
+  sc.precision = precision;
+  auto model = MakeModel(cfg);
+  const int64_t before = obs::CurrentMemoryStats().live_bytes;
+  Status status;
+  auto svc = serve::RecoService::Load(std::move(model), kItems, kBehaviors,
+                                      path, sc, &status);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  const int64_t added = obs::CurrentMemoryStats().live_bytes - before;
   std::remove(path.c_str());
+  return added;
+}
+
+TEST(QuantServeTest, Int8ServiceFreesFp32Catalog) {
+  // An int8 service scores from its quantized copy only: it keeps no fp32
+  // catalog tensor next to the item table it embeds histories with.
+  const int64_t added = LoadAddedTensorBytes(serve::Precision::kInt8);
+  EXPECT_LT(added, int64_t{kItems} * BaseConfig().dim * 4)
+      << "int8 service added " << added << " B of tensors";
+}
+
+TEST(QuantServeTest, Fp32ServiceHoldsOneItemTable) {
+  // The fp32 catalog score reads the item table the embedding gathers from,
+  // so Load keeps no transposed [d, V] copy of it.
+  const int64_t added = LoadAddedTensorBytes(serve::Precision::kFp32);
+  EXPECT_LT(added, int64_t{kItems} * BaseConfig().dim * 4)
+      << "fp32 service added " << added << " B of tensors";
 }
 
 TEST(QuantServeTest, Int8ServiceMatchesOfflineInt8Plan) {
@@ -684,11 +692,6 @@ TEST(QuantServeTest, Int8ServiceMatchesOfflineInt8Plan) {
   // Offline reference on the full query set in one batch.
   auto offline = MakeModel(cfg);
   ASSERT_TRUE(nn::LoadParametersForInference(offline.get(), path).ok());
-  Tensor catalog;
-  {
-    NoGradGuard ng;
-    catalog = offline->PrecomputeCatalog();
-  }
   Rng rng(5);
   std::vector<serve::Query> queries;
   for (int i = 0; i < 12; ++i) {
@@ -704,7 +707,7 @@ TEST(QuantServeTest, Int8ServiceMatchesOfflineInt8Plan) {
   infer::InferConfig icfg;
   icfg.quantize_catalog = true;
   auto plan = infer::PlannedExecutor::Compile(
-      *offline, catalog, static_cast<int64_t>(queries.size()), icfg, &status);
+      *offline, static_cast<int64_t>(queries.size()), icfg, &status);
   ASSERT_TRUE(status.ok()) << status.ToString();
   data::Batch batch = serve::BuildQueryBatch(queries, kMaxLen, kBehaviors);
   const float* scores = plan->Run(batch);

@@ -3,8 +3,10 @@
 // the evaluator.
 #include "runtime/parallel_for.h"
 #include "runtime/runtime.h"
+#include "runtime/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -149,14 +151,77 @@ TEST(GrainTest, GrainHelpersAreSaneAndPositive) {
   EXPECT_GE(GrainForChunks(1000), 1);
 }
 
-TEST(RuntimeTest, SetNumThreadsClampsToOne) {
-  ScopedNumThreads outer(3);
-  EXPECT_EQ(NumThreads(), 3);
+TEST(RuntimeTest, ScopedNumThreadsNestsAndRestores) {
+  const int process_default = NumThreads();
   {
-    ScopedNumThreads inner(1);
-    EXPECT_EQ(NumThreads(), 1);
+    ScopedNumThreads outer(3);
+    EXPECT_EQ(NumThreads(), 3);
+    {
+      ScopedNumThreads inner(1);
+      EXPECT_EQ(NumThreads(), 1);
+    }
+    EXPECT_EQ(NumThreads(), 3);
+    ScopedNumThreads reset(0);  // n <= 0 selects the process default
+    EXPECT_EQ(NumThreads(), process_default);
   }
-  EXPECT_EQ(NumThreads(), 3);
+  EXPECT_EQ(NumThreads(), process_default);
+  EXPECT_GE(AvailableCpus(), 1);
+}
+
+TEST(RuntimeTest, ScopedNumThreadsScopesOnlyItsOwnThread) {
+  const int process_default = NumThreads();
+  ScopedNumThreads mine(7);
+  int other = 0;
+  std::thread([&] { other = NumThreads(); }).join();
+  EXPECT_EQ(other, process_default);
+  EXPECT_EQ(NumThreads(), 7);
+}
+
+// ---- ThreadPool chunk claiming ----------------------------------------------
+
+// Busy-waits about `us` microseconds, so a chunk takes long enough for the
+// pool's workers to wake and claim some.
+void Spin(int64_t us) {
+  const auto end =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < end) {
+  }
+}
+
+TEST(ThreadPoolTest, SlowHelperHoldsOnlyTheChunkItClaimed) {
+  // A 64-chunk job at 4 participants in which the first chunk a pool
+  // worker runs sleeps 50 ms. Static round-robin would leave that worker
+  // 15 more chunks after it wakes; with claiming, the other participants
+  // drain the job meanwhile, so it runs exactly the one chunk it claimed.
+  constexpr int64_t kChunks = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  bool exercised = false;
+  for (int attempt = 0; attempt < 5 && !exercised; ++attempt) {
+    std::atomic<int> runs[kChunks] = {};
+    std::thread::id ran_on[kChunks];
+    std::atomic<bool> slept{false};
+    std::thread::id slow;
+    ThreadPool::Global().Run(kChunks, 4, [&](int64_t c) {
+      const std::thread::id me = std::this_thread::get_id();
+      ran_on[c] = me;
+      runs[c].fetch_add(1);
+      if (me != caller && !slept.exchange(true)) {
+        slow = me;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      } else {
+        Spin(100);
+      }
+    });
+    for (int64_t c = 0; c < kChunks; ++c) {
+      EXPECT_EQ(runs[c].load(), 1) << "chunk " << c;
+    }
+    if (!slept.load()) continue;  // the caller drained the job alone
+    exercised = true;
+    int slow_chunks = 0;
+    for (int64_t c = 0; c < kChunks; ++c) slow_chunks += ran_on[c] == slow;
+    EXPECT_EQ(slow_chunks, 1);
+  }
+  EXPECT_TRUE(exercised) << "no pool worker ran a chunk in 5 jobs";
 }
 
 // ---- Bitwise kernel equivalence across thread counts ------------------------

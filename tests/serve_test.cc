@@ -4,9 +4,13 @@
 // coalescing, input validation, and the line protocol. The micro-batcher is
 // part of the TSan CI job (scripts/check.sh tsan), so every test here must
 // be race-free by construction.
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,8 +23,11 @@
 #include "data/dataset.h"
 #include "nn/serialize.h"
 #include "obs/metrics.h"
+#include "runtime/parallel_for.h"
+#include "runtime/runtime.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
+#include "tensor/ops.h"
 #include "utils/rng.h"
 
 namespace missl {
@@ -193,6 +200,112 @@ TEST(RecoServiceTest, MatchesOfflineBitwiseUnderConcurrentClients) {
   }
   EXPECT_EQ(service->requests_served(), static_cast<int64_t>(queries.size()));
   EXPECT_GE(service->batches_run(), 1);
+  std::remove(path.c_str());
+}
+
+TEST(RecoServiceTest, ThreadCountsStayPerThreadNextToATrainer) {
+  // A service scoring on 4 threads next to a thread that runs its parallel
+  // loops at 1 thread, as a trainer under TrainConfig::num_threads = 1
+  // does. Each ScopedNumThreads scopes its own thread only: the trainer's
+  // loops stay inline and serial while the service's full batches fan out
+  // to the pool, and both sides keep their bits.
+  static constexpr int32_t kWideItems = 6000;  // b = 16 clears the floor
+  auto make_model = [](uint64_t seed) {
+    core::MisslConfig cfg;
+    cfg.dim = 16;
+    cfg.num_interests = 3;
+    cfg.seed = seed;
+    return std::make_unique<core::MisslModel>(kWideItems, kBehaviors,
+                                              kMaxLen, cfg);
+  };
+  auto offline_model = make_model(5);
+  std::string path = CkptPath("serve_threads.bin");
+  ASSERT_TRUE(nn::SaveParameters(*offline_model, path).ok());
+  serve::ServeConfig cfg;
+  cfg.max_len = kMaxLen;
+  cfg.max_batch = 16;
+  cfg.max_wait_us = 1000000;  // an idle dispatcher waits for a full batch
+  cfg.num_threads = 4;
+  Status status;
+  auto service = serve::RecoService::Load(make_model(42), kWideItems,
+                                          kBehaviors, path, cfg, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  EXPECT_EQ(service->num_threads(), 4);
+
+  Rng rng(9);
+  std::vector<serve::Query> queries;
+  for (int i = 0; i < 64; ++i) queries.push_back(RandomQuery(&rng));
+  data::Batch batch = serve::BuildQueryBatch(queries, kMaxLen, kBehaviors);
+  std::vector<std::vector<int32_t>> seen;
+  for (const auto& q : queries) seen.push_back(q.exclude);
+  auto expected =
+      core::RecommendTopN(offline_model.get(), batch, seen, 10, kWideItems);
+
+  Rng trng(3);
+  const Tensor a = Tensor::Randn({24, 40}, &trng);
+  const Tensor b = Tensor::Randn({40, 24}, &trng);
+  const Tensor want_product = MatMul(a, b);
+
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter& jobs =
+      obs::MetricsRegistry::Global().GetCounter("runtime.pool.jobs");
+  const int64_t jobs_before = jobs.value();
+  std::atomic<bool> served{false};
+  std::atomic<int> trainer_rounds{0};
+  std::thread trainer([&] {
+    NoGradGuard ng;
+    runtime::ScopedNumThreads one(1);
+    while (!served.load() || trainer_rounds.load() < 20) {
+      EXPECT_EQ(runtime::NumThreads(), 1);
+      int calls = 0;  // inline: one call over the whole range
+      runtime::ParallelFor(0, 64, 1, [&](int64_t, int64_t) { ++calls; });
+      EXPECT_EQ(calls, 1);
+      const Tensor got = MatMul(a, b);
+      EXPECT_EQ(std::memcmp(got.data(), want_product.data(),
+                            sizeof(float) * got.numel()),
+                0);
+      trainer_rounds.fetch_add(1);
+    }
+  });
+  // Four rounds of 16 queries submitted together: full batches.
+  std::vector<serve::TopKResult> results(queries.size());
+  std::vector<Status> statuses(queries.size());
+  for (size_t first = 0; first < queries.size(); first += 16) {
+    std::atomic<int> left{16};
+    std::mutex mu;
+    std::condition_variable cv;
+    for (size_t i = first; i < first + 16; ++i) {
+      service->Submit(queries[i], [&, i](const Status& s, serve::TopKResult r) {
+        statuses[i] = s;
+        results[i] = std::move(r);
+        if (left.fetch_sub(1) == 1) {
+          std::lock_guard<std::mutex> l(mu);
+          cv.notify_all();
+        }
+      });
+    }
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return left.load() == 0; });
+  }
+  served.store(true);
+  trainer.join();
+  EXPECT_GT(jobs.value(), jobs_before) << "the service never used the pool";
+  obs::SetMetricsEnabled(metrics_were_enabled);
+  EXPECT_EQ(runtime::NumThreads(), runtime::DefaultNumThreads(1));
+
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+    const size_t want = std::min<size_t>(static_cast<size_t>(queries[i].k),
+                                         expected[i].items.size());
+    ASSERT_EQ(results[i].items.size(), want) << "query " << i;
+    for (size_t j = 0; j < want; ++j) {
+      EXPECT_EQ(results[i].items[j], expected[i].items[j])
+          << "query " << i << " rank " << j;
+      EXPECT_EQ(results[i].scores[j], expected[i].scores[j])
+          << "query " << i << " rank " << j;  // bitwise
+    }
+  }
   std::remove(path.c_str());
 }
 

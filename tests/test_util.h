@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -144,6 +145,30 @@ inline obs::HistogramSnapshot HistogramDelta(
   }
   return d;
 }
+
+/// Counts the `runtime.pool.jobs` opened while it lives, with metrics on so
+/// the pool records them. A parity test uses it to show that its
+/// multi-thread legs really ran on the pool and not under the plan's serial
+/// floor.
+class PoolJobCount {
+ public:
+  PoolJobCount()
+      : metrics_were_enabled_(obs::MetricsEnabled()),
+        jobs_(obs::MetricsRegistry::Global().GetCounter("runtime.pool.jobs")) {
+    obs::SetMetricsEnabled(true);
+    before_ = jobs_.value();
+  }
+  ~PoolJobCount() { obs::SetMetricsEnabled(metrics_were_enabled_); }
+  PoolJobCount(const PoolJobCount&) = delete;
+  PoolJobCount& operator=(const PoolJobCount&) = delete;
+
+  int64_t opened() const { return jobs_.value() - before_; }
+
+ private:
+  bool metrics_were_enabled_;
+  obs::Counter& jobs_;
+  int64_t before_ = 0;
+};
 
 }  // namespace missl::testing
 
