@@ -134,14 +134,25 @@ Tensor MisslModel::ExtractInterests(const Tensor& encoded,
   return Mul(interests, indicator);
 }
 
-Tensor MisslModel::FuseInterests(const Tensor& encoded, const data::Batch& batch,
-                                 const Tensor& v_tgt,
-                                 const Tensor& v_aux) const {
-  Tensor fused = v_tgt;
-  if (v_aux.defined()) {
+MisslModel::InterestViews MisslModel::Interests(const data::Batch& batch) {
+  Tensor encoded = Encode(batch);
+  int32_t target = num_behaviors_ - 1;
+  InterestViews iv;
+  iv.v_tgt = ExtractInterests(encoded, batch, target);
+  if (config_.use_aux_behaviors && num_behaviors_ >= 2) {
+    std::vector<Tensor> aux;
+    for (int32_t beh = 0; beh < target; ++beh) {
+      aux.push_back(ExtractInterests(encoded, batch, beh));
+    }
+    iv.v_aux = aux[0];
+    for (size_t i = 1; i < aux.size(); ++i) iv.v_aux = Add(iv.v_aux, aux[i]);
+    iv.v_aux = MulScalar(iv.v_aux, 1.0f / static_cast<float>(aux.size()));
+  }
+  iv.fused = iv.v_tgt;
+  if (iv.v_aux.defined()) {
     // Sigmoid-gated residual of the projected auxiliary interests.
     Tensor gate = Sigmoid(fusion_gate_);  // [1], initialized to 0.5
-    fused = Add(fused, Mul(aux_fusion_.Forward(v_aux), gate));
+    iv.fused = Add(iv.fused, Mul(aux_fusion_.Forward(iv.v_aux), gate));
   }
   if (config_.use_common_interest) {
     // Common interest: long-term (mean over every visible event) plus
@@ -151,45 +162,18 @@ Tensor MisslModel::FuseInterests(const Tensor& encoded, const data::Batch& batch
                                        batch.batch_size, batch.max_len),
                         LastPosition(encoded));                       // [B, d]
     Tensor proj = common_proj_.Forward(common);                       // [B, d]
-    fused = Add(fused, Reshape(proj, {batch.batch_size, 1, config_.dim}));
+    iv.fused =
+        Add(iv.fused, Reshape(proj, {batch.batch_size, 1, config_.dim}));
   }
-  return fused;
+  return iv;
 }
 
 Tensor MisslModel::UserInterests(const data::Batch& batch) {
-  Tensor encoded = Encode(batch);
-  int32_t target = num_behaviors_ - 1;
-  Tensor v_tgt = ExtractInterests(encoded, batch, target);
-  Tensor v_aux;
-  if (config_.use_aux_behaviors && num_behaviors_ >= 2) {
-    std::vector<Tensor> aux;
-    for (int32_t beh = 0; beh < target; ++beh) {
-      aux.push_back(ExtractInterests(encoded, batch, beh));
-    }
-    v_aux = aux[0];
-    for (size_t i = 1; i < aux.size(); ++i) v_aux = Add(v_aux, aux[i]);
-    v_aux = MulScalar(v_aux, 1.0f / static_cast<float>(aux.size()));
-  }
-  return FuseInterests(encoded, batch, v_tgt, v_aux);
+  return Interests(batch).fused;
 }
 
 Tensor MisslModel::Loss(const data::Batch& batch) {
-  Tensor encoded = Encode(batch);
-  int32_t target = num_behaviors_ - 1;
-  Tensor v_tgt = ExtractInterests(encoded, batch, target);
-
-  Tensor v_aux;
-  if (config_.use_aux_behaviors && num_behaviors_ >= 2) {
-    std::vector<Tensor> aux;
-    for (int32_t beh = 0; beh < target; ++beh) {
-      aux.push_back(ExtractInterests(encoded, batch, beh));
-    }
-    v_aux = aux[0];
-    for (size_t i = 1; i < aux.size(); ++i) v_aux = Add(v_aux, aux[i]);
-    v_aux = MulScalar(v_aux, 1.0f / static_cast<float>(aux.size()));
-  }
-
-  Tensor fused = FuseInterests(encoded, batch, v_tgt, v_aux);
+  const auto [v_tgt, v_aux, fused] = Interests(batch);
 
   // Main next-item loss with interest routing.
   Tensor loss = PredictionLoss(fused, batch);

@@ -114,9 +114,14 @@ class MisslModel : public SeqRecModel {
   std::vector<int32_t> EffectiveMergedItems(const data::Batch& batch) const;
   /// Routed next-item CE for an interest matrix (sampled or full softmax).
   Tensor PredictionLoss(const Tensor& interests, const data::Batch& batch);
-  /// Fuses target/aux/common components into the final interests [B, K, d].
-  Tensor FuseInterests(const Tensor& encoded, const data::Batch& batch,
-                       const Tensor& v_tgt, const Tensor& v_aux) const;
+  /// The interest pass shared by Loss and UserInterests: the target
+  /// channel's interests, the mean of the auxiliary channels' (undefined
+  /// when the aux view is off), and both fused with the common interest
+  /// into the final interests; every tensor is [B, K, d].
+  struct InterestViews {
+    Tensor v_tgt, v_aux, fused;
+  };
+  InterestViews Interests(const data::Batch& batch);
 
   MisslConfig config_;
   int32_t num_items_;

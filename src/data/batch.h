@@ -19,7 +19,9 @@ struct Batch {
   int32_t num_behaviors = 0;
 
   /// Per-behavior item sequences: beh_items[b] holds behavior channel b's
-  /// items (most recent max_len of that channel before the cut).
+  /// items (most recent max_len of that channel before the cut). Only
+  /// BatchBuilder fills them; serving batches (serve::BuildQueryBatch)
+  /// leave them empty, since only the MB-GRU baseline reads them.
   std::vector<std::vector<int32_t>> beh_items;
 
   /// Merged chronological stream across all behaviors (most recent max_len

@@ -36,6 +36,12 @@ std::string ActName(Activation a) {
   return "?";
 }
 
+// A kLinear op's weight [in, out] and optional bias [out].
+struct LinearWeights {
+  const float* w = nullptr;
+  const float* bias = nullptr;
+};
+
 const char* KindName(OpKind k) {
   switch (k) {
     case OpKind::kEmbedSum: return "embed_sum";
@@ -138,22 +144,72 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   ex->behs_.assign(static_cast<size_t>(max_batch * t), -1);
   if (cfg.use_recency) ex->rec_.assign(static_cast<size_t>(max_batch * t), -1);
 
-  auto emit = [&](Op op) { ex->ops_.push_back(std::move(op)); };
+  // Appends `op` to the plan and returns its output buffer.
+  auto emit = [&](Op op) {
+    ex->ops_.push_back(std::move(op));
+    return ex->ops_.back().dst;
+  };
+
+  // --- One emit rule per op kind the walk lowers more than once. Each
+  // allocates its op-private scratch and then its output with NewBuffer, so
+  // the packer below sees buffers in the order the model computes them.
+
+  // kLinear: act(src [rows, in] x lw.w [in, out] + lw.bias) into a new
+  // [rows, out] buffer.
+  auto linear = [&](const std::string& label, int32_t src, int64_t rows,
+                    int64_t in, int64_t out, LinearWeights lw,
+                    Activation act = Activation::kNone) {
+    Op op;
+    op.kind = OpKind::kLinear;
+    op.label = label;
+    op.src = src;
+    op.dst = ex->NewBuffer(rows * out, label);
+    op.w = lw.w;
+    op.bias = lw.bias;
+    op.act = act;
+    op.rows_per_b = rows;
+    op.in = in;
+    op.out = out;
+    return emit(std::move(op));
+  };
+  // The weight and bias of the nn::Linear registered as `module`.
+  auto module_weights = [&](const std::string& module) {
+    return LinearWeights{need(module + ".weight"), need(module + ".bias")};
+  };
+  // kResidualLayerNorm: LN(x + y) over [t, d] rows with the `name.gamma` /
+  // `name.beta` affine; scratch = the residual sum, scratch2 = xhat.
+  auto residual_layernorm = [&](const std::string& name, int32_t x,
+                                int32_t y) {
+    Op op;
+    op.kind = OpKind::kResidualLayerNorm;
+    op.label = name;
+    op.src = x;
+    op.src2 = y;
+    op.scratch = ex->NewBuffer(t * d, name + "_sum");
+    op.scratch2 = ex->NewBuffer(t * d, name + "_xhat");
+    op.dst = ex->NewBuffer(t * d, name);
+    op.w = need(name + ".gamma");
+    op.b2 = need(name + ".beta");
+    op.rows_per_b = t;
+    op.in = d;
+    op.scale = kLayerNormEps;
+    return emit(std::move(op));
+  };
 
   // --- Input embedding: fused item + position + behavior (+ recency) sum.
-  int32_t cur = ex->NewBuffer(t * d, "embed");
+  int32_t cur = -1;
   {
     Op op;
     op.kind = OpKind::kEmbedSum;
     op.label = "embed_sum";
-    op.dst = cur;
+    op.dst = ex->NewBuffer(t * d, "embed");
     op.w = need("item_emb.weight");
     op.w2 = need("pos_emb.weight");
     op.w3 = need("beh_emb.weight");
     if (cfg.use_recency) op.bias = need("recency_emb.weight");
     op.in = d;
     op.t = t;
-    emit(op);
+    cur = emit(std::move(op));
   }
   // Dropout is identity in eval mode and therefore absent from the plan.
 
@@ -161,168 +217,69 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   if (cfg.use_hypergraph && cfg.hgat_layers > 0) {
     ex->e_ = hypergraph::NumEdges(cfg.hg, t, nb);
     const int64_t e = ex->e_;
-    int32_t inc = ex->NewBuffer(e * t, "incidence");
+    int32_t inc = -1;
     {
       Op op;
       op.kind = OpKind::kBuildIncidence;
       op.label = "build_incidence";
-      op.dst = inc;
+      op.dst = ex->NewBuffer(e * t, "incidence");
       op.t = t;
       op.e = e;
-      emit(op);
+      inc = emit(std::move(op));
     }
+    // kMaskedNormalize: row-normalizes `scores` (one per column) over the
+    // rows x cols cells the incidence marks, reading it transposed when
+    // `transposed`; scratch = the per-column exp cache.
+    auto masked_normalize = [&](const std::string& label, int32_t scores,
+                                int64_t rows, int64_t cols, bool transposed) {
+      Op op;
+      op.kind = OpKind::kMaskedNormalize;
+      op.label = label;
+      op.src = scores;
+      op.src2 = inc;
+      op.scratch = ex->NewBuffer(cols, label + "_exp");
+      op.dst = ex->NewBuffer(rows * cols, label);
+      op.rows_per_b = rows;
+      op.out = cols;
+      op.t = t;
+      op.flag = transposed;
+      return emit(std::move(op));
+    };
+    // kBatchedGemm: a [rows, inner] x b [inner, out] per batch row.
+    auto batched_gemm = [&](const std::string& label, int32_t a, int32_t b,
+                            int64_t rows, int64_t inner, int64_t out) {
+      Op op;
+      op.kind = OpKind::kBatchedGemm;
+      op.label = label;
+      op.src = a;
+      op.src2 = b;
+      op.dst = ex->NewBuffer(rows * out, label);
+      op.rows_per_b = rows;
+      op.in = inner;
+      op.out = out;
+      return emit(std::move(op));
+    };
     for (int64_t i = 0; i < cfg.hgat_layers; ++i) {
       const std::string p = "hgat" + std::to_string(i) + ".";
       // node_scores = Tanh(wa(x)) * wn  -> per-position scalar.
-      int32_t wa_out = ex->NewBuffer(t * d, p + "wa");
-      {
-        Op op;
-        op.kind = OpKind::kLinear;
-        op.label = p + "wa+tanh";
-        op.src = cur;
-        op.dst = wa_out;
-        op.w = need(p + "wa.weight");
-        op.bias = need(p + "wa.bias");
-        op.act = Activation::kTanh;
-        op.rows_per_b = t;
-        op.in = d;
-        op.out = d;
-        emit(op);
-      }
-      int32_t node_scores = ex->NewBuffer(t, p + "node_scores");
-      {
-        Op op;
-        op.kind = OpKind::kLinear;
-        op.label = p + "wn";
-        op.src = wa_out;
-        op.dst = node_scores;
-        op.w = need(p + "wn");
-        op.rows_per_b = t;
-        op.in = d;
-        op.out = 1;
-        emit(op);
-      }
-      // edge_attn[b, e, t] = masked row-normalize of node scores over inc.
-      int32_t exp_cache_a = ex->NewBuffer(t, p + "exp_a");
-      int32_t edge_attn = ex->NewBuffer(e * t, p + "edge_attn");
-      {
-        Op op;
-        op.kind = OpKind::kMaskedNormalize;
-        op.label = p + "edge_attn";
-        op.src = node_scores;
-        op.src2 = inc;
-        op.dst = edge_attn;
-        op.scratch = exp_cache_a;
-        op.rows_per_b = e;
-        op.out = t;
-        op.t = t;
-        op.flag = false;  // mask element (row=edge, col=pos) = inc[edge, pos]
-        emit(op);
-      }
-      int32_t edge_feats = ex->NewBuffer(e * d, p + "edge_feats");
-      {
-        Op op;
-        op.kind = OpKind::kBatchedGemm;
-        op.label = p + "edge_feats";
-        op.src = edge_attn;
-        op.src2 = cur;
-        op.dst = edge_feats;
-        op.rows_per_b = e;
-        op.in = t;
-        op.out = d;
-        emit(op);
-      }
-      int32_t wb_out = ex->NewBuffer(e * d, p + "wb");
-      {
-        Op op;
-        op.kind = OpKind::kLinear;
-        op.label = p + "wb+tanh";
-        op.src = edge_feats;
-        op.dst = wb_out;
-        op.w = need(p + "wb.weight");
-        op.bias = need(p + "wb.bias");
-        op.act = Activation::kTanh;
-        op.rows_per_b = e;
-        op.in = d;
-        op.out = d;
-        emit(op);
-      }
-      int32_t edge_scores = ex->NewBuffer(e, p + "edge_scores");
-      {
-        Op op;
-        op.kind = OpKind::kLinear;
-        op.label = p + "we";
-        op.src = wb_out;
-        op.dst = edge_scores;
-        op.w = need(p + "we");
-        op.rows_per_b = e;
-        op.in = d;
-        op.out = 1;
-        emit(op);
-      }
-      int32_t exp_cache_b = ex->NewBuffer(e, p + "exp_b");
-      int32_t node_attn = ex->NewBuffer(t * e, p + "node_attn");
-      {
-        Op op;
-        op.kind = OpKind::kMaskedNormalize;
-        op.label = p + "node_attn";
-        op.src = edge_scores;
-        op.src2 = inc;
-        op.dst = node_attn;
-        op.scratch = exp_cache_b;
-        op.rows_per_b = t;
-        op.out = e;
-        op.t = t;
-        op.flag = true;  // mask element (row=pos, col=edge) = inc[edge, pos]
-        emit(op);
-      }
-      int32_t agg = ex->NewBuffer(t * d, p + "agg");
-      {
-        Op op;
-        op.kind = OpKind::kBatchedGemm;
-        op.label = p + "agg";
-        op.src = node_attn;
-        op.src2 = edge_feats;
-        op.dst = agg;
-        op.rows_per_b = t;
-        op.in = e;
-        op.out = d;
-        emit(op);
-      }
-      int32_t wo_out = ex->NewBuffer(t * d, p + "wo");
-      {
-        Op op;
-        op.kind = OpKind::kLinear;
-        op.label = p + "wo";
-        op.src = agg;
-        op.dst = wo_out;
-        op.w = need(p + "wo.weight");
-        op.bias = need(p + "wo.bias");
-        op.rows_per_b = t;
-        op.in = d;
-        op.out = d;
-        emit(op);
-      }
-      int32_t ln_sum = ex->NewBuffer(t * d, p + "ln_sum");
-      int32_t ln_xh = ex->NewBuffer(t * d, p + "ln_xhat");
-      int32_t h_out = ex->NewBuffer(t * d, p + "out");
-      {
-        Op op;
-        op.kind = OpKind::kResidualLayerNorm;
-        op.label = p + "ln";
-        op.src = cur;
-        op.src2 = wo_out;
-        op.dst = h_out;
-        op.scratch = ln_sum;
-        op.scratch2 = ln_xh;
-        op.w = need(p + "ln.gamma");
-        op.b2 = need(p + "ln.beta");
-        op.rows_per_b = t;
-        op.in = d;
-        op.scale = kLayerNormEps;
-        emit(op);
-      }
-      cur = h_out;
+      int32_t wa = linear(p + "wa+tanh", cur, t, d, d,
+                          module_weights(p + "wa"), Activation::kTanh);
+      int32_t node_scores = linear(p + "wn", wa, t, d, 1, {need(p + "wn")});
+      // edge_attn[b, e, t] = masked row-normalize of node scores over inc;
+      // mask element (row=edge, col=pos) = inc[edge, pos].
+      int32_t edge_attn =
+          masked_normalize(p + "edge_attn", node_scores, e, t, false);
+      int32_t edge_feats =
+          batched_gemm(p + "edge_feats", edge_attn, cur, e, t, d);
+      int32_t wb = linear(p + "wb+tanh", edge_feats, e, d, d,
+                          module_weights(p + "wb"), Activation::kTanh);
+      int32_t edge_scores = linear(p + "we", wb, e, d, 1, {need(p + "we")});
+      // node_attn[b, t, e]: mask element (row=pos, col=edge) = inc[edge, pos].
+      int32_t node_attn =
+          masked_normalize(p + "node_attn", edge_scores, t, e, true);
+      int32_t agg = batched_gemm(p + "agg", node_attn, edge_feats, t, e, d);
+      int32_t wo = linear(p + "wo", agg, t, d, d, module_weights(p + "wo"));
+      cur = residual_layernorm(p + "ln", cur, wo);
     }
   }
 
@@ -330,31 +287,13 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   const float attn_scale = 1.0f / std::sqrt(static_cast<float>(dh));
   for (int64_t i = 0; i < cfg.seq_layers; ++i) {
     const std::string p = "encoder.layer" + std::to_string(i) + ".";
-    auto linear = [&](const std::string& name, int32_t src, int64_t rows,
-                      int64_t in, int64_t out, Activation act) {
-      int32_t dst = ex->NewBuffer(rows * out, p + name);
-      Op op;
-      op.kind = OpKind::kLinear;
-      op.label = p + name;
-      op.src = src;
-      op.dst = dst;
-      op.w = need(p + name + ".weight");
-      op.bias = need(p + name + ".bias");
-      op.act = act;
-      op.rows_per_b = rows;
-      op.in = in;
-      op.out = out;
-      emit(op);
-      return dst;
-    };
-    int32_t q = linear("attn.wq", cur, t, d, d, Activation::kNone);
-    int32_t k = linear("attn.wk", cur, t, d, d, Activation::kNone);
-    int32_t v = linear("attn.wv", cur, t, d, d, Activation::kNone);
-    // Per-(batch, head) packing slabs: q-pack, transposed-k, v-pack,
-    // scores, out-pack.
-    int32_t attn_scratch =
-        ex->NewBuffer(heads * (4 * t * dh + t * t), p + "attn.scratch");
-    int32_t concat = ex->NewBuffer(t * d, p + "attn.concat");
+    int32_t q = linear(p + "attn.wq", cur, t, d, d,
+                       module_weights(p + "attn.wq"));
+    int32_t k = linear(p + "attn.wk", cur, t, d, d,
+                       module_weights(p + "attn.wk"));
+    int32_t v = linear(p + "attn.wv", cur, t, d, d,
+                       module_weights(p + "attn.wv"));
+    int32_t concat = -1;
     {
       Op op;
       op.kind = OpKind::kAttention;
@@ -362,79 +301,34 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       op.src = q;
       op.src2 = k;
       op.src3 = v;
-      op.dst = concat;
-      op.scratch = attn_scratch;
+      // Per-(batch, head) packing slabs: q-pack, transposed-k, v-pack,
+      // scores, out-pack.
+      op.scratch =
+          ex->NewBuffer(heads * (4 * t * dh + t * t), p + "attn.scratch");
+      op.dst = ex->NewBuffer(t * d, p + "attn.concat");
       op.t = t;
       op.heads = heads;
       op.dh = dh;
       op.scale = attn_scale;
-      emit(op);
+      concat = emit(std::move(op));
     }
-    int32_t attn_out = linear("attn.wo", concat, t, d, d, Activation::kNone);
-    int32_t ln1_sum = ex->NewBuffer(t * d, p + "ln1_sum");
-    int32_t ln1_xh = ex->NewBuffer(t * d, p + "ln1_xhat");
-    int32_t h1 = ex->NewBuffer(t * d, p + "ln1");
-    {
-      Op op;
-      op.kind = OpKind::kResidualLayerNorm;
-      op.label = p + "ln1";
-      op.src = cur;
-      op.src2 = attn_out;
-      op.dst = h1;
-      op.scratch = ln1_sum;
-      op.scratch2 = ln1_xh;
-      op.w = need(p + "ln1.gamma");
-      op.b2 = need(p + "ln1.beta");
-      op.rows_per_b = t;
-      op.in = d;
-      op.scale = kLayerNormEps;
-      emit(op);
-    }
-    Tensor& fc1_w = param(p + "ffn.fc1.weight");  // [d, ffn_hidden]
-    const int64_t ffn_hidden = fc1_w.size(1);
-    int32_t f1 =
-        linear("ffn.fc1", h1, t, d, ffn_hidden, Activation::kGelu);
-    int32_t f2 = linear("ffn.fc2", f1, t, ffn_hidden, d, Activation::kNone);
-    int32_t ln2_sum = ex->NewBuffer(t * d, p + "ln2_sum");
-    int32_t ln2_xh = ex->NewBuffer(t * d, p + "ln2_xhat");
-    int32_t h2 = ex->NewBuffer(t * d, p + "ln2");
-    {
-      Op op;
-      op.kind = OpKind::kResidualLayerNorm;
-      op.label = p + "ln2";
-      op.src = h1;
-      op.src2 = f2;
-      op.dst = h2;
-      op.scratch = ln2_sum;
-      op.scratch2 = ln2_xh;
-      op.w = need(p + "ln2.gamma");
-      op.b2 = need(p + "ln2.beta");
-      op.rows_per_b = t;
-      op.in = d;
-      op.scale = kLayerNormEps;
-      emit(op);
-    }
-    cur = h2;
+    int32_t attn_out = linear(p + "attn.wo", concat, t, d, d,
+                              module_weights(p + "attn.wo"));
+    int32_t h1 = residual_layernorm(p + "ln1", cur, attn_out);
+    const int64_t ffn_hidden = param(p + "ffn.fc1.weight").size(1);
+    int32_t f1 = linear(p + "ffn.fc1", h1, t, d, ffn_hidden,
+                        module_weights(p + "ffn.fc1"), Activation::kGelu);
+    int32_t f2 = linear(p + "ffn.fc2", f1, t, ffn_hidden, d,
+                        module_weights(p + "ffn.fc2"));
+    cur = residual_layernorm(p + "ln2", h1, f2);
   }
   const int32_t encoded = cur;
 
   // --- Per-behavior interest extraction. key_proj is computed once and
   // shared across behavior channels (the training forward recomputes it per
   // channel with bitwise-identical results — see docs/INFERENCE.md).
-  int32_t keys = ex->NewBuffer(t * d, "key_proj");
-  {
-    Op op;
-    op.kind = OpKind::kLinear;
-    op.label = "key_proj";
-    op.src = encoded;
-    op.dst = keys;
-    op.w = need("key_proj.weight");
-    op.bias = need("key_proj.bias");
-    op.rows_per_b = t;
-    op.in = d;
-    op.out = d;
-    emit(op);
-  }
+  int32_t keys =
+      linear("key_proj", encoded, t, d, d, module_weights("key_proj"));
   // Per-row scratch for scores [T, K] + transposed scores [K, T].
   int32_t interest_scratch = ex->NewBuffer(2 * t * K, "interest_scratch");
   Tensor& queries = param("interest_queries");  // [nb * K, d]
@@ -455,22 +349,19 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
         qt[static_cast<size_t>(j * K + kk)] = row[j];
       }
     }
-    int32_t dst =
-        ex->NewBuffer(K * d, "interests" + std::to_string(behavior));
     Op op;
     op.kind = OpKind::kInterestExtract;
     op.label = "interests" + std::to_string(behavior);
     op.src = keys;
     op.src2 = encoded;
-    op.dst = dst;
+    op.dst = ex->NewBuffer(K * d, op.label);
     op.scratch = interest_scratch;
     op.w = ex->AddConstant(std::move(qt));
     op.t = t;
     op.k = K;
     op.in = d;
     op.behavior = behavior;
-    emit(op);
-    return dst;
+    return emit(std::move(op));
   };
   int32_t v_tgt = extract(target);
   int32_t fused = v_tgt;
@@ -479,32 +370,20 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   if (use_aux) {
     std::vector<int32_t> aux_bufs;
     for (int32_t beh = 0; beh < target; ++beh) aux_bufs.push_back(extract(beh));
-    int32_t v_aux = ex->NewBuffer(K * d, "v_aux");
+    int32_t v_aux = -1;
     {
       Op op;
       op.kind = OpKind::kAuxMean;
       op.label = "aux_mean";
+      op.dst = ex->NewBuffer(K * d, "v_aux");
       op.srcs = aux_bufs;
-      op.dst = v_aux;
       op.rows_per_b = K;
       op.in = d;
       op.scale = 1.0f / static_cast<float>(aux_bufs.size());
-      emit(op);
+      v_aux = emit(std::move(op));
     }
-    int32_t aux_proj = ex->NewBuffer(K * d, "aux_fusion");
-    {
-      Op op;
-      op.kind = OpKind::kLinear;
-      op.label = "aux_fusion";
-      op.src = v_aux;
-      op.dst = aux_proj;
-      op.w = need("aux_fusion.weight");
-      op.bias = need("aux_fusion.bias");
-      op.rows_per_b = K;
-      op.in = d;
-      op.out = d;
-      emit(op);
-    }
+    int32_t aux_proj =
+        linear("aux_fusion", v_aux, K, d, d, module_weights("aux_fusion"));
     // Plan-time constant: sigmoid of the (frozen) scalar fusion gate,
     // computed by the Sigmoid op itself.
     float gate;
@@ -512,62 +391,42 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
       NoGradGuard no_grad;
       gate = Sigmoid(param("fusion_gate")).data()[0];
     }
-    int32_t fused2 = ex->NewBuffer(K * d, "fused_aux");
-    {
-      Op op;
-      op.kind = OpKind::kGatedFuse;
-      op.label = "gated_fuse";
-      op.src = fused;
-      op.src2 = aux_proj;
-      op.dst = fused2;
-      op.rows_per_b = K;
-      op.in = d;
-      op.scale = gate;
-      emit(op);
-    }
-    fused = fused2;
+    Op op;
+    op.kind = OpKind::kGatedFuse;
+    op.label = "gated_fuse";
+    op.src = fused;
+    op.src2 = aux_proj;
+    op.dst = ex->NewBuffer(K * d, "fused_aux");
+    op.rows_per_b = K;
+    op.in = d;
+    op.scale = gate;
+    fused = emit(std::move(op));
   }
 
   // --- Common-interest pathway.
   if (cfg.use_common_interest) {
-    int32_t common = ex->NewBuffer(d, "common_pool");
+    int32_t common = -1;
     {
       Op op;
       op.kind = OpKind::kCommonPool;
       op.label = "common_pool";
       op.src = encoded;
-      op.dst = common;
+      op.dst = ex->NewBuffer(d, "common_pool");
       op.t = t;
       op.in = d;
-      emit(op);
+      common = emit(std::move(op));
     }
-    int32_t cproj = ex->NewBuffer(d, "common_proj");
-    {
-      Op op;
-      op.kind = OpKind::kLinear;
-      op.label = "common_proj";
-      op.src = common;
-      op.dst = cproj;
-      op.w = need("common_proj.weight");
-      op.bias = need("common_proj.bias");
-      op.rows_per_b = 1;
-      op.in = d;
-      op.out = d;
-      emit(op);
-    }
-    int32_t fused2 = ex->NewBuffer(K * d, "fused_common");
-    {
-      Op op;
-      op.kind = OpKind::kBroadcastAddRow;
-      op.label = "add_common";
-      op.src = fused;
-      op.src2 = cproj;
-      op.dst = fused2;
-      op.k = K;
-      op.in = d;
-      emit(op);
-    }
-    fused = fused2;
+    int32_t cproj =
+        linear("common_proj", common, 1, d, d, module_weights("common_proj"));
+    Op op;
+    op.kind = OpKind::kBroadcastAddRow;
+    op.label = "add_common";
+    op.src = fused;
+    op.src2 = cproj;
+    op.dst = ex->NewBuffer(K * d, "fused_common");
+    op.k = K;
+    op.in = d;
+    fused = emit(std::move(op));
   }
 
   // --- Catalog scoring with interest routing, column-tiled: per stripe,
@@ -623,7 +482,7 @@ std::unique_ptr<PlannedExecutor> PlannedExecutor::Compile(
   }
   ex->scores_buf_ = ex->NewBuffer(V, "scores");
   op.dst = ex->scores_buf_;
-  emit(op);
+  emit(std::move(op));
   // Top-k sink: at most V candidate slots per row, in fresh pages.
   const size_t cand_bytes =
       static_cast<size_t>(max_batch * V) * sizeof(ScoredItem);

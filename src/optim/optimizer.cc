@@ -6,59 +6,25 @@
 
 namespace missl::optim {
 
-Optimizer::Optimizer(std::vector<Tensor> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
+Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
+           float eps, float weight_decay)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps),
+      weight_decay_(weight_decay) {
   MISSL_CHECK(lr > 0.0f) << "learning rate must be positive";
   for (const auto& p : params_) {
     MISSL_CHECK(p.defined() && p.requires_grad())
         << "optimizer parameter must require grad";
   }
-}
-
-void Optimizer::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
-SGD::SGD(std::vector<Tensor> params, float lr, float momentum, float weight_decay)
-    : Optimizer(std::move(params), lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  velocity_.resize(params_.size());
-}
-
-void SGD::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& p = params_[i];
-    if (!p.has_grad()) continue;
-    float* w = p.data();
-    const float* g = p.impl()->grad.data();
-    int64_t n = p.numel();
-    if (momentum_ > 0.0f) {
-      auto& vel = velocity_[i];
-      if (vel.empty()) vel.assign(static_cast<size_t>(n), 0.0f);
-      for (int64_t j = 0; j < n; ++j) {
-        float grad = g[j] + weight_decay_ * w[j];
-        vel[static_cast<size_t>(j)] =
-            momentum_ * vel[static_cast<size_t>(j)] + grad;
-        w[j] -= lr_ * vel[static_cast<size_t>(j)];
-      }
-    } else {
-      for (int64_t j = 0; j < n; ++j) {
-        w[j] -= lr_ * (g[j] + weight_decay_ * w[j]);
-      }
-    }
-  }
-}
-
-Adam::Adam(std::vector<Tensor> params, float lr, float beta1, float beta2,
-           float eps, float weight_decay)
-    : Optimizer(std::move(params), lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps),
-      weight_decay_(weight_decay) {
   m_.resize(params_.size());
   v_.resize(params_.size());
+}
+
+void Adam::ZeroGrad() {
+  for (auto& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {
@@ -78,23 +44,15 @@ void Adam::Step() {
       v.assign(static_cast<size_t>(n), 0.0f);
     }
     for (int64_t j = 0; j < n; ++j) {
-      float grad = g[j];
-      if (!decoupled_) grad += weight_decay_ * w[j];
+      float grad = g[j] + weight_decay_ * w[j];
       size_t js = static_cast<size_t>(j);
       m[js] = beta1_ * m[js] + (1.0f - beta1_) * grad;
       v[js] = beta2_ * v[js] + (1.0f - beta2_) * grad * grad;
       float mhat = m[js] / bc1;
       float vhat = v[js] / bc2;
       w[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-      if (decoupled_) w[j] -= lr_ * weight_decay_ * w[j];
     }
   }
-}
-
-AdamW::AdamW(std::vector<Tensor> params, float lr, float beta1, float beta2,
-             float eps, float weight_decay)
-    : Adam(std::move(params), lr, beta1, beta2, eps, weight_decay) {
-  decoupled_ = true;
 }
 
 float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
@@ -115,22 +73,6 @@ float ClipGradNorm(const std::vector<Tensor>& params, float max_norm) {
     }
   }
   return norm;
-}
-
-float StepDecaySchedule::LrAt(int64_t epoch) const {
-  MISSL_CHECK(epoch >= 0);
-  int64_t k = step_size_ > 0 ? epoch / step_size_ : 0;
-  return base_lr_ * std::pow(gamma_, static_cast<float>(k));
-}
-
-float WarmupInvSqrtSchedule::LrAt(int64_t step) const {
-  MISSL_CHECK(step >= 0);
-  if (warmup_ <= 0) return base_lr_;
-  if (step < warmup_) {
-    return base_lr_ * static_cast<float>(step + 1) / static_cast<float>(warmup_);
-  }
-  return base_lr_ * std::sqrt(static_cast<float>(warmup_) /
-                              static_cast<float>(step + 1));
 }
 
 }  // namespace missl::optim

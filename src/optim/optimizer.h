@@ -1,5 +1,5 @@
-// First-order optimizers over parameter tensors: SGD (+momentum), Adam and
-// AdamW, plus global-norm gradient clipping and LR schedules.
+// Adam over parameter tensors, plus global-norm gradient clipping: the
+// optimizer surface train::Fit uses.
 #ifndef MISSL_OPTIM_OPTIMIZER_H_
 #define MISSL_OPTIM_OPTIMIZER_H_
 
@@ -9,90 +9,30 @@
 
 namespace missl::optim {
 
-/// Base optimizer interface; parameters are captured at construction.
-class Optimizer {
+/// Adam (Kingma & Ba); parameters are captured at construction.
+/// `weight_decay` is classic L2 added to the gradient.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params, float lr);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
   /// Applies one update using the parameters' accumulated gradients.
   /// Parameters with no allocated gradient buffer are skipped.
-  virtual void Step() = 0;
+  void Step();
 
   /// Zeroes all parameter gradients.
   void ZeroGrad();
 
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-  size_t num_params() const { return params_.size(); }
-
- protected:
-  std::vector<Tensor> params_;
-  float lr_;
-};
-
-/// Stochastic gradient descent with optional momentum and L2 weight decay.
-class SGD : public Optimizer {
- public:
-  SGD(std::vector<Tensor> params, float lr, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-  void Step() override;
-
  private:
-  float momentum_;
-  float weight_decay_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba). `weight_decay` is classic L2 added to the gradient.
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
-  void Step() override;
-
- protected:
-  float beta1_, beta2_, eps_, weight_decay_;
+  std::vector<Tensor> params_;
+  float lr_, beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
   std::vector<std::vector<float>> m_, v_;
-  bool decoupled_ = false;  ///< AdamW-style decay when true
-};
-
-/// AdamW: decoupled weight decay applied directly to the parameter.
-class AdamW : public Adam {
- public:
-  AdamW(std::vector<Tensor> params, float lr, float beta1 = 0.9f,
-        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.01f);
 };
 
 /// Scales all gradients so their global L2 norm is at most `max_norm`.
 /// Returns the pre-clip norm.
 float ClipGradNorm(const std::vector<Tensor>& params, float max_norm);
-
-/// Step-decay learning-rate schedule: lr = base * gamma^(epoch / step_size).
-class StepDecaySchedule {
- public:
-  StepDecaySchedule(float base_lr, int64_t step_size, float gamma)
-      : base_lr_(base_lr), step_size_(step_size), gamma_(gamma) {}
-  float LrAt(int64_t epoch) const;
-
- private:
-  float base_lr_;
-  int64_t step_size_;
-  float gamma_;
-};
-
-/// Linear warmup followed by inverse-sqrt decay (transformer-style).
-class WarmupInvSqrtSchedule {
- public:
-  WarmupInvSqrtSchedule(float base_lr, int64_t warmup_steps)
-      : base_lr_(base_lr), warmup_(warmup_steps) {}
-  float LrAt(int64_t step) const;
-
- private:
-  float base_lr_;
-  int64_t warmup_;
-};
 
 }  // namespace missl::optim
 

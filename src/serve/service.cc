@@ -83,8 +83,6 @@ data::Batch BuildQueryBatch(const std::vector<const Query*>& queries,
   b.max_len = max_len;
   b.num_behaviors = num_behaviors;
   int64_t bt = b.batch_size * max_len;
-  b.beh_items.assign(static_cast<size_t>(num_behaviors),
-                     std::vector<int32_t>(static_cast<size_t>(bt), -1));
   b.merged_items.assign(static_cast<size_t>(bt), -1);
   b.merged_behaviors.assign(static_cast<size_t>(bt), -1);
   b.merged_recency.assign(static_cast<size_t>(bt), -1);
@@ -120,24 +118,6 @@ data::Batch BuildQueryBatch(const std::vector<const Query*>& queries,
         gap = q.now >= 0 ? std::numeric_limits<int64_t>::max() : 0;
       }
       b.merged_recency[static_cast<size_t>(pos)] = data::RecencyBucket(gap);
-    }
-
-    // Per-behavior streams: last max_len events of each channel, taken from
-    // the full history (matching data::BatchBuilder).
-    for (int32_t beh = 0; beh < num_behaviors; ++beh) {
-      std::vector<int32_t> items;
-      for (int64_t i = 0; i < total; ++i) {
-        if (q.behaviors[static_cast<size_t>(i)] == beh) {
-          items.push_back(q.items[static_cast<size_t>(i)]);
-        }
-      }
-      int64_t cnt = static_cast<int64_t>(items.size());
-      int64_t keep = std::min(cnt, max_len);
-      for (int64_t i = 0; i < keep; ++i) {
-        int64_t pos = row * max_len + (max_len - keep + i);
-        b.beh_items[static_cast<size_t>(beh)][static_cast<size_t>(pos)] =
-            items[static_cast<size_t>(cnt - keep + i)];
-      }
     }
   }
   return b;

@@ -168,10 +168,13 @@ class RecoService {
   std::thread dispatcher_;
 };
 
-/// Collates queries into one inference batch: merged stream + per-behavior
-/// streams front-padded to `max_len`, recency bucketed against each query's
-/// `now` (gaps that overflow int64 saturate). Row order follows `queries`;
-/// `targets` is all -1 (inference batches have no label). Shared with the
+/// Collates queries into one inference batch: the merged stream
+/// front-padded to `max_len`, recency bucketed against each query's `now`
+/// (gaps that overflow int64 saturate). Row order follows `queries`;
+/// `targets` is all -1 (inference batches have no label). `beh_items` is
+/// left empty: MisslModel and the compiled plan read only the merged
+/// stream, and the per-behavior streams serve the MB-GRU baseline, which
+/// trains and evaluates on data::BatchBuilder batches. Shared with the
 /// offline parity tests.
 data::Batch BuildQueryBatch(const std::vector<const Query*>& queries,
                             int64_t max_len, int32_t num_behaviors);

@@ -86,7 +86,7 @@ constexpr size_t kCompactThreshold = 64 * 1024;
 // max_connections does not apply — a saturated query plane must still be
 // scrapeable, but a scraper cannot balloon the server either).
 constexpr size_t kMaxAdminRequestBytes = 8 * 1024;
-constexpr size_t kMaxAdminConns = 16;
+constexpr int64_t kMaxAdminConns = 16;
 
 // Splits "GET /path HTTP/1.0" into method and target; false when the line
 // is not three space-separated tokens with an HTTP/1.x version.
@@ -328,12 +328,8 @@ void TcpServer::EpollLoop() {
         (void)ignored;
         continue;
       }
-      if (fd == listen_fd_) {
-        AcceptPending();
-        continue;
-      }
-      if (fd == admin_listen_fd_) {
-        AcceptAdminPending();
+      if (fd == listen_fd_ || fd == admin_listen_fd_) {
+        AcceptPending(fd);
         continue;
       }
       std::shared_ptr<Conn> conn;
@@ -386,67 +382,36 @@ void TcpServer::EpollLoop() {
   }
 }
 
-void TcpServer::AcceptPending() {
+void TcpServer::AcceptPending(int listen_fd) {
+  // The two planes differ in cap, refusal and drain rule only. Query
+  // connects are capped at max_connections open query connections and
+  // refused in-band; admin connects are capped at kMaxAdminConns, get a raw
+  // 503, and are accepted even while draining — observability during a
+  // drain is the point.
+  const bool admin = listen_fd == admin_listen_fd_;
+  const int64_t cap = admin ? kMaxAdminConns : config_.max_connections;
   for (;;) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
+    int fd = ::accept4(listen_fd, nullptr, nullptr,
                        SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN (no more pending) or transient accept failure
     }
-    if (draining_.load(std::memory_order_acquire)) {
+    if (!admin && draining_.load(std::memory_order_acquire)) {
       RefuseConnection(fd, "shutting down");
       continue;
     }
-    size_t active = 0;
+    int64_t open = 0;
     {
       std::lock_guard<std::mutex> l(mu_);
-      active = conns_.size();
+      open = admin ? static_cast<int64_t>(conns_.size()) - query_conns_
+                   : query_conns_;
     }
-    if (active >= static_cast<size_t>(config_.max_connections)) {
-      RefuseConnection(fd, "connection limit reached");
-      continue;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      ::close(fd);
-      continue;
-    }
-    size_t now_active = 0;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      conns_.emplace(fd, std::move(conn));
-      ++accepted_;
-      ++query_conns_;
-      now_active = conns_.size();
-    }
-    TcpMetrics::Get().accepted.Add(1);
-    TcpMetrics::Get().active.Set(static_cast<int64_t>(now_active));
-  }
-}
-
-void TcpServer::AcceptAdminPending() {
-  for (;;) {
-    int fd = ::accept4(admin_listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN (no more pending) or transient accept failure
-    }
-    // Admin connects are accepted even while draining — observability during
-    // a drain is the point — but are capped independently of the query plane.
-    size_t admin_active = 0;
-    {
-      std::lock_guard<std::mutex> l(mu_);
-      admin_active = conns_.size() - static_cast<size_t>(query_conns_);
-    }
-    if (admin_active >= kMaxAdminConns) {
+    if (open >= cap) {
+      if (!admin) {
+        RefuseConnection(fd, "connection limit reached");
+        continue;
+      }
       static const char kBusy[] =
           "HTTP/1.0 503 Service Unavailable\r\n"
           "Content-Type: text/plain\r\nContent-Length: 5\r\n"
@@ -461,7 +426,7 @@ void TcpServer::AcceptAdminPending() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>();
     conn->fd = fd;
-    conn->admin = true;
+    conn->admin = admin;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -469,8 +434,19 @@ void TcpServer::AcceptAdminPending() {
       ::close(fd);
       continue;
     }
-    std::lock_guard<std::mutex> l(mu_);
-    conns_.emplace(fd, std::move(conn));
+    size_t now_active = 0;
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      conns_.emplace(fd, std::move(conn));
+      if (!admin) {
+        ++accepted_;
+        ++query_conns_;
+      }
+      now_active = conns_.size();
+    }
+    if (admin) continue;
+    TcpMetrics::Get().accepted.Add(1);
+    TcpMetrics::Get().active.Set(static_cast<int64_t>(now_active));
   }
 }
 

@@ -32,8 +32,9 @@
 //     next newline;
 //   - a peer may disconnect at any byte offset without affecting other
 //     connections (in-flight answers to a dead peer are dropped);
-//   - at most max_connections clients are served; extra connects receive a
-//     clean {"id":-1,"error":"connection limit reached"} and are closed;
+//   - at most max_connections query clients are served at once (admin
+//     connections do not count); extra connects receive a clean
+//     {"id":-1,"error":"connection limit reached"} and are closed;
 //   - writes are backpressure-aware: when a slow reader's buffered output
 //     exceeds max_buffered_write_bytes the server stops reading from that
 //     connection until the buffer drains, so one slow client cannot balloon
@@ -78,7 +79,7 @@ namespace missl::serve {
 struct TcpServerConfig {
   int port = 0;             ///< 0 = ephemeral; TcpServer::port() reports it
   int admin_port = 0;       ///< admin HTTP port: 0 = ephemeral, -1 = disabled
-  int max_connections = 256;   ///< concurrent clients before refusals
+  int max_connections = 256;   ///< concurrent query clients before refusals
   /// Ignored. Queries go straight from the epoll thread to the service's
   /// batcher, so there is no worker pool; the field stays only so existing
   /// callers keep compiling.
@@ -157,8 +158,9 @@ class TcpServer {
   TcpServer(RecoService* service, const TcpServerConfig& config);
 
   void EpollLoop();
-  void AcceptPending();
-  void AcceptAdminPending();
+  /// Accepts every pending connect on `listen_fd`, the query or the admin
+  /// listener; each plane has its own cap on open connections.
+  void AcceptPending(int listen_fd);
   /// Writes `line` + '\n' to a fresh fd best-effort and closes it.
   void RefuseConnection(int fd, const std::string& reason);
   void HandleReadable(const std::shared_ptr<Conn>& conn);

@@ -50,7 +50,6 @@ inline Tensor operator-(const Tensor& a) { return Neg(a); }
 
 // ---- Elementwise unary -------------------------------------------------------
 
-Tensor Relu(const Tensor& a);
 /// Tanh-approximation GeLU (as used by BERT-family models).
 Tensor Gelu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
@@ -58,13 +57,9 @@ Tensor Tanh(const Tensor& a);
 Tensor Exp(const Tensor& a);
 /// Natural log; inputs must be positive.
 Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Square(const Tensor& a);
-Tensor Abs(const Tensor& a);
 /// Clamps to [lo, hi]; gradient is passed through inside the interval only.
 Tensor Clamp(const Tensor& a, float lo, float hi);
-/// Elementwise power with constant exponent.
-Tensor Pow(const Tensor& a, float p);
 
 // ---- Matrix multiplication ---------------------------------------------------
 
@@ -87,9 +82,6 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end);
 
 /// Concatenates tensors along `dim`; all other dims must match.
 Tensor Concat(const std::vector<Tensor>& ts, int64_t dim);
-
-/// Selects rows of a 2-D+ tensor along dim 0 by index (duplicates allowed).
-Tensor IndexSelect0(const Tensor& a, const std::vector<int32_t>& idx);
 
 /// Embedding gather: weight is [V, d]; returns prefix_shape + [d]. Index -1
 /// denotes padding and yields a zero row (and receives no gradient).

@@ -23,8 +23,8 @@ namespace {
 // kernel's scalar tier replays the lambda's exact per-element operation
 // sequence, so enabling a hook never changes results — only which
 // instructions produce them. Ops whose scalar backward sequence a
-// vector kernel cannot replay bit-for-bit (e.g. Relu's `0.0f * g` keeping
-// the sign of -0.0, Div's divide-then-multiply chain) simply leave the hook
+// vector kernel cannot replay bit-for-bit (e.g. Div's divide-then-multiply
+// chain) simply leave the hook
 // unset and keep the scalar loop on every tier.
 using BinaryRowKernel = void (*)(const float*, const float*, float*, int64_t);
 // (pa, pb, g, acc, n): accumulate d(op)/d(side) * g into acc.
@@ -312,16 +312,6 @@ Tensor MulScalar(const Tensor& a, float s) {
 
 Tensor Neg(const Tensor& a) { return MulScalar(a, -1.0f); }
 
-Tensor Relu(const Tensor& a) {
-  // Backward stays scalar: its `0.0f * g[i]` term can be -0.0 where a masked
-  // vector select would produce +0.0, and `x + (-0.0)` vs `x + (+0.0)`
-  // differ bitwise when the accumulator holds -0.0.
-  return UnaryOp(
-      "Relu", a,
-      [](const float* pa, float* po, int64_t n) { simd::ReluRow(pa, po, n); },
-      RowwiseGrad([](float x, float) { return x > 0.0f ? 1.0f : 0.0f; }));
-}
-
 // Gelu, Sigmoid, Tanh and Exp evaluate exp/tanh with the tier-invariant
 // kernels of tensor/simd.h, never libm.
 Tensor Gelu(const Tensor& a) {
@@ -363,24 +353,9 @@ Tensor Log(const Tensor& a) {
                  RowwiseGrad([](float x, float) { return 1.0f / x; }));
 }
 
-Tensor Sqrt(const Tensor& a) {
-  return UnaryOp(
-      "Sqrt", a, Rowwise([](float x) { return std::sqrt(x); }),
-      RowwiseGrad(
-          [](float, float y) { return 0.5f / (y > 1e-12f ? y : 1e-12f); }));
-}
-
 Tensor Square(const Tensor& a) {
   return UnaryOp("Square", a, Rowwise([](float x) { return x * x; }),
                  RowwiseGrad([](float x, float) { return 2.0f * x; }));
-}
-
-Tensor Abs(const Tensor& a) {
-  return UnaryOp(
-      "Abs", a, Rowwise([](float x) { return std::fabs(x); }),
-      RowwiseGrad([](float x, float) {
-        return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f);
-      }));
 }
 
 Tensor Clamp(const Tensor& a, float lo, float hi) {
@@ -391,12 +366,6 @@ Tensor Clamp(const Tensor& a, float lo, float hi) {
       RowwiseGrad([lo, hi](float x, float) {
         return (x >= lo && x <= hi) ? 1.0f : 0.0f;
       }));
-}
-
-Tensor Pow(const Tensor& a, float p) {
-  return UnaryOp(
-      "Pow", a, Rowwise([p](float x) { return std::pow(x, p); }),
-      RowwiseGrad([p](float x, float) { return p * std::pow(x, p - 1.0f); }));
 }
 
 }  // namespace missl

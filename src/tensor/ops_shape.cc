@@ -130,44 +130,6 @@ Tensor Concat(const std::vector<Tensor>& ts, int64_t dim) {
   return out;
 }
 
-Tensor IndexSelect0(const Tensor& a, const std::vector<int32_t>& idx) {
-  MISSL_OP_SCOPE("IndexSelect0");
-  MISSL_CHECK(a.dim() >= 1) << "IndexSelect0 on scalar";
-  int64_t rows = a.size(0);
-  int64_t inner = a.numel() / (rows == 0 ? 1 : rows);
-  Shape so = a.shape();
-  so[0] = static_cast<int64_t>(idx.size());
-  Tensor out = MakeResult(so);
-  const float* pa = a.data();
-  float* po = out.data();
-  for (size_t i = 0; i < idx.size(); ++i) {
-    int64_t r = idx[i];
-    MISSL_CHECK(r >= 0 && r < rows) << "IndexSelect0 index " << r << " out of range";
-    std::memcpy(po + static_cast<int64_t>(i) * inner, pa + r * inner,
-                sizeof(float) * static_cast<size_t>(inner));
-  }
-  AttachGrad(&out, {a}, [a, out = TensorRef(out), idx, rows, inner]() {
-    const float* g = out.impl()->grad.data();
-    a.impl()->EnsureGrad();
-    float* ga = a.impl()->grad.data();
-    // Scatter-add with possibly duplicated indices: owner-computes over the
-    // source rows. The chunk owning row r applies every idx[i] == r
-    // contribution itself, in input order — no races on duplicates and the
-    // accumulation order matches the serial loop bit for bit.
-    runtime::ParallelFor(
-        0, rows, runtime::GrainForChunks(rows), [&](int64_t v0, int64_t v1) {
-          for (size_t i = 0; i < idx.size(); ++i) {
-            int64_t r = idx[i];
-            if (r < v0 || r >= v1) continue;
-            float* dst = ga + r * inner;
-            const float* src = g + static_cast<int64_t>(i) * inner;
-            for (int64_t j = 0; j < inner; ++j) dst[j] += src[j];
-          }
-        });
-  });
-  return out;
-}
-
 Tensor EmbeddingLookup(const Tensor& weight, const std::vector<int32_t>& ids,
                        Shape prefix_shape) {
   MISSL_OP_SCOPE("EmbeddingLookup");

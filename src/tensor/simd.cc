@@ -31,7 +31,6 @@ void AddRow(const float* a, const float* b, float* o, int64_t n);
 void SubRow(const float* a, const float* b, float* o, int64_t n);
 void MulRow(const float* a, const float* b, float* o, int64_t n);
 void DivRow(const float* a, const float* b, float* o, int64_t n);
-void ReluRow(const float* a, float* o, int64_t n);
 void ScaleRow(const float* a, float s, float* o, int64_t n);
 void AddScalarRow(const float* a, float s, float* o, int64_t n);
 void AccumRow(const float* g, float* acc, int64_t n);
@@ -278,10 +277,6 @@ void DivRow(const float* a, const float* b, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
 }
 
-void ReluRow(const float* a, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-
 void ScaleRow(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] * s;
 }
@@ -482,10 +477,6 @@ void MulRow(const float* a, const float* b, float* o, int64_t n) {
 
 void DivRow(const float* a, const float* b, float* o, int64_t n) {
   MISSL_SIMD_DISPATCH(DivRow, a, b, o, n);
-}
-
-void ReluRow(const float* a, float* o, int64_t n) {
-  MISSL_SIMD_DISPATCH(ReluRow, a, o, n);
 }
 
 void ScaleRow(const float* a, float s, float* o, int64_t n) {

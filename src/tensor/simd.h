@@ -151,10 +151,6 @@ void SubRow(const float* a, const float* b, float* o, int64_t n);
 void MulRow(const float* a, const float* b, float* o, int64_t n);
 void DivRow(const float* a, const float* b, float* o, int64_t n);
 
-/// o[i] = max(a[i], 0.0f), with scalar `x > 0 ? x : 0` semantics for
-/// -0.0/NaN (both map to +0.0 on every tier).
-void ReluRow(const float* a, float* o, int64_t n);
-
 /// o[i] = a[i] * s  and  o[i] = a[i] + s.
 void ScaleRow(const float* a, float s, float* o, int64_t n);
 void AddScalarRow(const float* a, float s, float* o, int64_t n);

@@ -430,30 +430,6 @@ void DivRow(const float* a, const float* b, float* o, int64_t n) {
       [](float x, float y) { return x / y; });
 }
 
-// max(a, 0.0f) with the second operand as the max "fallback" matches the
-// scalar `a > 0 ? a : 0` exactly: vmaxps returns the SECOND operand when
-// either input is NaN or when comparing -0.0 vs +0.0, so NaN -> 0.0f and
-// -0.0f -> +0.0f on both tiers.
-namespace {
-template <bool kA>
-inline void ReluRowImpl(const float* a, float* o, int64_t n) {
-  __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    Store<kA>(o + i, _mm256_max_ps(Load<kA>(a + i), zero));
-  }
-  for (; i < n; ++i) o[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-}  // namespace
-
-void ReluRow(const float* a, float* o, int64_t n) {
-  if (Aligned32(a) && Aligned32(o)) {
-    ReluRowImpl<true>(a, o, n);
-  } else {
-    ReluRowImpl<false>(a, o, n);
-  }
-}
-
 namespace {
 template <bool kA>
 inline void ScaleRowImpl(const float* a, float s, float* o, int64_t n) {

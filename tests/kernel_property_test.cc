@@ -213,9 +213,6 @@ TEST(KernelPropertyTest, ElementwiseUnarySweep) {
   for (const Shape& s : shapes) {
     int64_t n = NumElements(s);
     std::vector<float> a = RandomData(n, &rng, /*zero_frac=*/0.1f);
-    SweepOp("Relu " + ShapeToString(s),
-            [](std::vector<Tensor>& in) { return Relu(in[0]); }, {a}, {s},
-            n > 0);
     SweepOp("AddScalar " + ShapeToString(s),
             [](std::vector<Tensor>& in) { return AddScalar(in[0], 0.37f); },
             {a}, {s}, n > 0);
@@ -1090,9 +1087,6 @@ TEST(KernelPropertyTest, AlignedFastPathMatchesUnalignedAcrossModes) {
           tier, 1,
           [&](std::vector<Tensor>& in) { return Mul(in[0], in[1]); }, data2,
           shapes2, true));
-      results.push_back(RunOpCase(
-          tier, 1, [&](std::vector<Tensor>& in) { return Relu(in[0]); },
-          data1, shapes1, true));
       results.push_back(RunOpCase(
           tier, 1,
           [&](std::vector<Tensor>& in) { return MulScalar(in[0], 1.7f); },

@@ -190,7 +190,7 @@ TEST_F(ObsTest, AutogradGraphReleasedWithAndWithoutBackward) {
     Tensor a = Tensor::Randn({8, 8}, &rng, 1.0f, /*requires_grad=*/true);
     Tensor b = Tensor::Randn({8, 8}, &rng, 1.0f, /*requires_grad=*/true);
     for (int i = 0; i < 3; ++i) {
-      Tensor loss = Sum(Mul(Relu(MatMul(a, b)), a));
+      Tensor loss = Sum(Mul(Tanh(MatMul(a, b)), a));
       EXPECT_GT(obs::CurrentMemoryStats().live_autograd_nodes,
                 base.live_autograd_nodes);
       loss.Backward();
@@ -200,7 +200,7 @@ TEST_F(ObsTest, AutogradGraphReleasedWithAndWithoutBackward) {
     }
     for (int i = 0; i < 3; ++i) {
       // Dropped without Backward(): destruction alone must free the graph.
-      Tensor dropped = Sum(Mul(Relu(MatMul(a, b)), a));
+      Tensor dropped = Sum(Mul(Tanh(MatMul(a, b)), a));
     }
     EXPECT_EQ(obs::CurrentMemoryStats().live_autograd_nodes,
               base.live_autograd_nodes);

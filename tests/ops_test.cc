@@ -69,16 +69,12 @@ TEST(OpsElementwise, OperatorsSugar) {
 
 TEST(OpsElementwise, UnaryValues) {
   Tensor a = Tensor::FromData({-1, 0, 2}, {3});
-  ExpectTensorNear(Relu(a), {0, 0, 2});
-  ExpectTensorNear(Abs(a), {1, 0, 2});
   ExpectTensorNear(Square(a), {1, 0, 4});
   ExpectTensorNear(Clamp(a, -0.5f, 1.0f), {-0.5f, 0, 1});
   ExpectTensorNear(Sigmoid(Tensor::Scalar(0.0f)), {0.5f});
   ExpectTensorNear(Tanh(Tensor::Scalar(0.0f)), {0.0f});
   ExpectTensorNear(Exp(Tensor::Scalar(0.0f)), {1.0f});
   ExpectTensorNear(Log(Tensor::Scalar(1.0f)), {0.0f});
-  ExpectTensorNear(Sqrt(Tensor::Scalar(9.0f)), {3.0f});
-  ExpectTensorNear(Pow(Tensor::Scalar(2.0f), 3.0f), {8.0f});
 }
 
 TEST(OpsElementwise, GeluMatchesReference) {
@@ -124,13 +120,6 @@ TEST(OpsGrad, BroadcastGradReducesCorrectly) {
 TEST(OpsGrad, UnaryOpsGradCheck) {
   Rng rng(13);
   Tensor a = Tensor::Randn({2, 5}, &rng);
-  // Keep values in smooth regions (away from relu/abs kinks and log domain).
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    float v = a.data()[i];
-    if (std::fabs(v) < 0.2f) a.data()[i] = v < 0 ? v - 0.3f : v + 0.3f;
-  }
-  GradCheck([](const std::vector<Tensor>& in) { return Sum(Relu(in[0])); },
-            {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Gelu(in[0])); },
             {a.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Sigmoid(in[0])); },
@@ -142,14 +131,7 @@ TEST(OpsGrad, UnaryOpsGradCheck) {
   Tensor pos = Tensor::Rand({6}, &rng, 0.5f, 2.0f);
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Log(in[0])); },
             {pos.Detach()});
-  GradCheck([](const std::vector<Tensor>& in) { return Sum(Sqrt(in[0])); },
-            {pos.Detach()});
   GradCheck([](const std::vector<Tensor>& in) { return Sum(Square(in[0])); },
-            {a.Detach()});
-  GradCheck([](const std::vector<Tensor>& in) { return Sum(Pow(in[0], 3.0f)); },
-            {pos.Detach()});
-  // a was nudged away from 0 above, which is also Abs's kink.
-  GradCheck([](const std::vector<Tensor>& in) { return Sum(Abs(in[0])); },
             {a.Detach()});
 }
 
@@ -300,16 +282,6 @@ TEST(OpsShape, ShapeOpsGradCheck) {
         return Sum(Square(Concat({in[0], in[1]}, 1)));
       },
       {a.Detach(), b.Detach()});
-}
-
-TEST(OpsShape, IndexSelect0ValuesAndGrad) {
-  Tensor a = Tensor::FromData({1, 2, 3, 4, 5, 6}, {3, 2});
-  Tensor s = IndexSelect0(a, {2, 0, 2});
-  ExpectTensorNear(s, {5, 6, 1, 2, 5, 6});
-  // Duplicated rows must accumulate gradient.
-  Tensor w = Tensor::FromData({1, 2, 3, 4, 5, 6}, {3, 2}, true);
-  Sum(Square(IndexSelect0(w, {2, 0, 2}))).Backward();
-  ExpectTensorNear(w.grad(), {2, 4, 0, 0, 20, 24});
 }
 
 TEST(OpsShape, EmbeddingLookupBasics) {
@@ -547,17 +519,6 @@ TEST(OpsThreaded, EmbeddingScatterAddGradCheckWithDuplicates) {
       {Tensor::Randn({6, 5}, &rng)});
 }
 
-TEST(OpsThreaded, IndexSelect0GradCheckWithDuplicates) {
-  runtime::ScopedNumThreads t(4);
-  Rng rng(8);
-  std::vector<int32_t> idx = {1, 1, 3, 0, 1, 3};
-  GradCheck(
-      [idx](const std::vector<Tensor>& in) {
-        return Sum(Square(IndexSelect0(in[0], idx)));
-      },
-      {Tensor::Randn({4, 6}, &rng)});
-}
-
 TEST(OpsThreaded, BatchedMatMulGradCheck) {
   runtime::ScopedNumThreads t(4);
   Rng rng(9);
@@ -618,15 +579,9 @@ TEST_F(OpsSimd, BinaryOpsGradCheck) {
             {a.Detach(), b.Detach()});
 }
 
-TEST_F(OpsSimd, ScalarAndReluGradCheck) {
+TEST_F(OpsSimd, ScalarGradCheck) {
   Rng rng(42);
   Tensor a = Tensor::Randn({2, 17}, &rng);
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    float v = a.data()[i];
-    if (std::fabs(v) < 0.2f) a.data()[i] = v < 0 ? v - 0.3f : v + 0.3f;
-  }
-  GradCheck([](const std::vector<Tensor>& in) { return Sum(Relu(in[0])); },
-            {a.Detach()});
   GradCheck(
       [](const std::vector<Tensor>& in) {
         return Sum(Square(AddScalar(in[0], -0.4f)));

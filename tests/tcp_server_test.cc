@@ -538,6 +538,48 @@ TEST(TcpServerTest, ConnectionLimitRefusesExtrasAndRecovers) {
   server->Shutdown();
 }
 
+TEST(TcpServerTest, IdleAdminConnectionTakesNoQuerySlot) {
+  Status status;
+  auto service = MakeService("tcp_admin_slot.bin", 37, /*max_batch=*/4,
+                             /*max_wait_us=*/500, &status);
+  ASSERT_NE(service, nullptr) << status.ToString();
+  serve::TcpServerConfig tcfg;
+  tcfg.max_connections = 2;
+  auto server = serve::TcpServer::Start(service.get(), tcfg, &status);
+  ASSERT_NE(server, nullptr) << status.ToString();
+  ASSERT_GT(server->admin_port(), 0);
+
+  // A scraper that connects and sends nothing stays parked on the admin
+  // plane; wait until the server has accepted it.
+  int admin_fd = ConnectLoopback(server->admin_port());
+  ASSERT_GE(admin_fd, 0);
+  for (int i = 0; i < 200 && server->active_connections() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server->active_connections(), 1);
+
+  // Both query slots are still free.
+  Rng rng(41);
+  int fd1 = ConnectLoopback(server->port());
+  int fd2 = ConnectLoopback(server->port());
+  ASSERT_GE(fd1, 0);
+  ASSERT_GE(fd2, 0);
+  std::string acc1, acc2, line;
+  SendAllBytes(fd1, serve::QueryToLine(1, RandomWireQuery(&rng)) + "\n");
+  ASSERT_TRUE(RecvLine(fd1, &acc1, &line));
+  EXPECT_EQ(ExtractId(line), 1) << line;
+  SendAllBytes(fd2, serve::QueryToLine(2, RandomWireQuery(&rng)) + "\n");
+  ASSERT_TRUE(RecvLine(fd2, &acc2, &line));
+  EXPECT_EQ(ExtractId(line), 2) << line;
+  EXPECT_EQ(server->connections_refused(), 0);
+  EXPECT_EQ(server->connections_accepted(), 2);
+
+  ::close(fd1);
+  ::close(fd2);
+  ::close(admin_fd);
+  server->Shutdown();
+}
+
 TEST(TcpServerTest, MalformedLineAnsweredInBandConnectionStaysUsable) {
   Status status;
   auto service = MakeService("tcp_malformed.bin", 37, /*max_batch=*/4,
